@@ -17,6 +17,7 @@ from .modcore import (
     LinMap,
     ZmModule,
     abelian_decomposition,
+    int_inverse,
     mod_elements,
     smith_normal_form,
     span_elements,
@@ -339,7 +340,7 @@ def quotient(A, I):
     factors = tuple(diag[j] for j in keep)
     Qmod = ZmModule(M.modulus, factors)
     # V^{-1} for the section; V is unimodular so the inverse is integral
-    Vinv = _integer_inverse(V)
+    Vinv = int_inverse(V)
 
     def project(e):
         x = list(e.coords)
@@ -364,16 +365,6 @@ def quotient(A, I):
     Q = Algebra(Qmod, ops)
     section_map = {q: lift(q) for q in mod_elements(Qmod)}
     return Q, pi, section_map
-
-
-def _integer_inverse(V):
-    n = len(V)
-    U, D, W = smith_normal_form(V)
-    # V unimodular: D is the identity, so V^{-1} = W * U
-    for i in range(n):
-        if D[i][i] != 1:
-            raise MlexError("matrix is not unimodular")
-    return [[sum(W[i][t] * U[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
 
 
 def subalgebra(A, subset):
@@ -439,13 +430,22 @@ def is_homomorphism(A, B, phi):
     return True
 
 
+def _invariant_factors(module):
+    """Invariant factors of the module's group, 1s dropped; equal exactly
+    for isomorphic groups, whatever their presentations (Z6, Z2 x Z3)."""
+    k = module.rank
+    if not k:
+        return []
+    diagonal = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(module.factors)]
+    _, D, _ = smith_normal_form(diagonal)
+    return [D[i][i] for i in range(k) if D[i][i] != 1]
+
+
 def find_isomorphism(A, B):
     """First algebra isomorphism A -> B in enumeration order, or None."""
     if A.signature() != B.signature():
         return None
-    if sorted(A.module.factors) != sorted(B.module.factors):
-        return None
-    if A.module.size() != B.module.size():
+    if _invariant_factors(A.module) != _invariant_factors(B.module):
         return None
     candidates = []
     for d in A.module.factors:

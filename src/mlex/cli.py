@@ -111,7 +111,7 @@ def cmd_check(args):
             if dict(V.signature.ops) != T.Q.signature():
                 continue
             try:
-                compat = is_compatible(T, V)
+                compat = is_compatible(T, V, raw=raw)
             except MlexError as e:
                 lines.append(f"cocycle {name} vs {vname}: datum outside variety ({e})")
                 continue

@@ -9,6 +9,7 @@ multilinearity axioms, and a legality check records whether it does.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -412,6 +413,44 @@ class Cocycle:
         return self.Q == other.Q and self.I == other.I
 
 
+@functools.lru_cache(maxsize=64)
+def _index_tables(module):
+    """Elements of a module in ``mod_elements`` order, their index by
+    coordinates, and the add and scalar tables over those indices
+    (entry x*|M| + y is x + y, entry r*|M| + x is r*x)."""
+    elems = tuple(mod_elements(module))
+    index = {e.coords: k for k, e in enumerate(elems)}
+    add = tuple(index[module.add(x, y).coords] for x in elems for y in elems)
+    scal = tuple(
+        index[module.scalar(r, x).coords] for r in range(module.modulus) for x in elems
+    )
+    return elems, index, add, scal
+
+
+def _generators(n, add):
+    """A generating set of a finite group on indices 0..n-1 with flat add
+    table ``add``, taken greedily in index order.  The identity, the only
+    idempotent, is skipped: it generates nothing."""
+    gens, span = [], set()
+    for u in range(n):
+        if u in span:
+            continue
+        if add[u * n + u] == u:
+            span.add(u)
+            continue
+        gens.append(u)
+        frontier = [u, *span]
+        span.add(u)
+        while frontier:
+            s = frontier.pop()
+            for g in gens:
+                t = add[s * n + g]
+                if t not in span:
+                    span.add(t)
+                    frontier.append(t)
+    return gens
+
+
 class SemidirectProduct:
     """The raw operation table on I x Q defined by a cocycle.
 
@@ -507,49 +546,102 @@ class SemidirectProduct:
         return self.legality()[0]
 
     def _check_legality(self):
-        Qm, Im = self.Q.module, self.I.module
-        qs = mod_elements(Qm)
+        """Decide the axioms on integer index tables.
+
+        An element (a, x) of E = I x Q has index a*|Q| + x, the position
+        of the pair in ``universe()``.  Once the group laws hold, E is a
+        finite abelian group, and a map phi into E is additive iff
+        phi(u+g) = phi(u) + phi(g) for every u and every g of a
+        generating set.  Slot i is checked only after the slots before it
+        passed, so the defect in slot i is additive in those slots too and
+        their arguments range over the generators alone.
+        """
+        qs, qidx, qadd, qscal = _index_tables(self.Q.module)
+        ins, iidx, iadd, iscal = _index_tables(self.I.module)
+        nq, ni = len(qs), len(ins)
+        tplus, tr = self.T.tplus, self.T.tr
+        tp = [iidx[tplus[(x, y)].coords] for x in qs for y in qs]
         # abelian group laws reduce to conditions on the group factor set
-        for x in qs:
-            for y in qs:
-                if self.T.tplus[(x, y)] != self.T.tplus[(y, x)]:
-                    return False, f"addition not commutative at ({x},{y})"
-        for x in qs:
-            for y in qs:
-                for z in qs:
-                    lhs = Im.add(self.T.tplus[(x, y)], self.T.tplus[(Qm.add(x, y), z)])
-                    rhs = Im.add(self.T.tplus[(y, z)], self.T.tplus[(x, Qm.add(y, z))])
+        for x in range(nq):
+            for y in range(nq):
+                if tp[x * nq + y] != tp[y * nq + x]:
+                    return False, f"addition not commutative at ({qs[x]},{qs[y]})"
+        for x in range(nq):
+            for y in range(nq):
+                txy, xy = tp[x * nq + y], qadd[x * nq + y]
+                for z in range(nq):
+                    lhs = iadd[txy * ni + tp[xy * nq + z]]
+                    rhs = iadd[tp[y * nq + z] * ni + tp[x * nq + qadd[y * nq + z]]]
                     if lhs != rhs:
-                        return False, f"addition not associative at ({x},{y},{z})"
+                        return (
+                            False,
+                            f"addition not associative at ({qs[x]},{qs[y]},{qs[z]})",
+                        )
+
+        def add(u, v):
+            a, x = divmod(u, nq)
+            b, y = divmod(v, nq)
+            return iadd[iadd[a * ni + b] * ni + tp[x * nq + y]] * nq + qadd[x * nq + y]
+
         # scalars must agree with repeated addition, and m*u must vanish
-        universe = self.universe()
-        for u in universe:
-            acc = self.zero()
-            for r in range(self.modulus):
-                if self.scalar(r, u) != acc:
-                    return False, f"scalar {r} disagrees with repeated addition at {u}"
-                acc = self.add(acc, u)
-            if acc != self.zero():
-                return False, f"element {u} not annihilated by the modulus"
+        m = self.modulus
+        trt = [iidx[tr[(r, x)].coords] for r in range(m) for x in qs]
+        ne = ni * nq
+        for u in range(ne):
+            a, x = divmod(u, nq)
+            acc = 0
+            for r in range(m):
+                rx = r * nq + x
+                if iadd[iscal[r * ni + a] * ni + trt[rx]] * nq + qscal[rx] != acc:
+                    return (
+                        False,
+                        f"scalar {r} disagrees with repeated addition at {self.universe()[u]}",
+                    )
+                acc = add(acc, u)
+            if acc != 0:
+                return False, f"element {self.universe()[u]} not annihilated by the modulus"
+        if not self.Q.ops:
+            return True, None
         # multilinearity of every operation in every slot
+        elems = self.universe()
+        eadd = [add(u, v) for u in range(ne) for v in range(ne)]
+        gens = _generators(ne, eadd)
         for name, op in self.Q.ops.items():
             n = op.arity
+            table = [None] * ne**n
+
+            def phi(key, name=name, n=n, table=table):
+                value = table[key]
+                if value is None:
+                    args, rest = [], key
+                    for _ in range(n):
+                        rest, d = divmod(rest, ne)
+                        args.append(elems[d])
+                    a, x = self.apply_op(name, args[::-1])
+                    value = iidx[a.coords] * nq + qidx[x.coords]
+                    table[key] = value
+                return value
+
             for slot in range(n):
-                for args in itertools.product(universe, repeat=n):
-                    for v in universe:
-                        bumped = list(args)
-                        bumped[slot] = self.add(args[slot], v)
-                        swapped = list(args)
-                        swapped[slot] = v
-                        lhs = self.apply_op(name, bumped)
-                        rhs = self.add(
-                            self.apply_op(name, args), self.apply_op(name, swapped)
-                        )
-                        if lhs != rhs:
-                            return (
-                                False,
-                                f"operation {name} not additive in slot {slot + 1}",
-                            )
+                stride = ne ** (n - 1 - slot)
+                for pre in itertools.product(gens, repeat=slot):
+                    for post in itertools.product(range(ne), repeat=n - 1 - slot):
+                        base = 0
+                        for d in pre:
+                            base = base * ne + d
+                        base *= ne
+                        for d in post:
+                            base = base * ne + d
+                        for u in range(ne):
+                            fu = phi(base + u * stride)
+                            row = u * ne
+                            for g in gens:
+                                lhs = phi(base + eadd[row + g] * stride)
+                                if lhs != eadd[fu * ne + phi(base + g * stride)]:
+                                    return (
+                                        False,
+                                        f"operation {name} not additive in slot {slot + 1}",
+                                    )
         return True, None
 
     # -- conversion -------------------------------------------------------
@@ -944,14 +1036,19 @@ class DatumError(MlexError):
     """The datum algebras fail the variety membership precondition."""
 
 
-def is_compatible(T, V, check_datum=True):
-    """Is the semidirect product of T a legal algebra of the variety V?"""
+def is_compatible(T, V, check_datum=True, raw=None):
+    """Is the semidirect product of T a legal algebra of the variety V?
+
+    ``raw`` is T's SemidirectProduct when the caller already built one;
+    its legality verdict and operation cache are reused.
+    """
     if check_datum:
         if not termlang.in_variety(T.Q, V):
             raise DatumError(f"quotient algebra is not in variety {V.name!r}")
         if not termlang.in_variety(T.I, V):
             raise DatumError(f"kernel algebra is not in variety {V.name!r}")
-    raw = SemidirectProduct(T)
+    if raw is None:
+        raw = SemidirectProduct(T)
     if not raw.is_legal():
         return False
     return all(termlang.holds(raw, ident) for ident in V.identities)
@@ -1006,12 +1103,7 @@ def is_h2_morphism(T, Tp, alpha, h, beta, emend=False):
                 hx = [h[x] for x in xs]
                 for avec in itertools.product(mod_elements(I1.module), repeat=n):
                     lhs = alpha(T.action.value(f, s, xs, avec))
-                    if emend:
-                        mapped_q = tuple(beta(x) for x in xs)
-                        kernel_alg = I2
-                    else:
-                        mapped_q = tuple(alpha(x) for x in xs)
-                        kernel_alg = I2
+                    mapped_q = tuple((beta if emend else alpha)(x) for x in xs)
                     mapped_a = tuple(alpha(a) for a in avec)
                     acc = Tp.action.value(f, s, mapped_q, mapped_a)
                     bx = tuple(beta(x) for x in xs)
@@ -1020,7 +1112,7 @@ def is_h2_morphism(T, Tp, alpha, h, beta, emend=False):
                             args = substitute(hx, s, [mapped_a[i] for i in s])
                             acc = Im2.add(acc, Tp.action.value(f, r_set, bx, args))
                     args = substitute(hx, s, [mapped_a[i] for i in s])
-                    acc = Im2.add(acc, kernel_alg.eval_op(f, args))
+                    acc = Im2.add(acc, I2.eval_op(f, args))
                     if lhs != acc:
                         return False
     return True

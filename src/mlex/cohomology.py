@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ConsistencyError, MlexError
-from .modcore import mod_elements, smith_normal_form, solve_congruences
+from .modcore import int_inverse, mod_elements, smith_normal_form, solve_congruences
 from .algebra import is_homomorphism
 from . import termlang
 from .cocycle import (
@@ -350,7 +350,7 @@ class AffineH2:
         self._diag = diag
         self._keep = keep
         self.invariant_factors = [diag[j] for j in keep]
-        Vinv = _int_inverse(V)
+        Vinv = int_inverse(V)
         self.reps = []
         for combo in itertools.product(*(range(diag[j]) for j in keep)):
             y = [0] * p
@@ -420,17 +420,6 @@ def _witness_basis(Q, I):
             h[zq] = zi
             out.append(h)
     return out
-
-
-def _int_inverse(V):
-    n = len(V)
-    U, D, W = smith_normal_form(V)
-    for i in range(n):
-        if D[i][i] != 1:
-            raise MlexError("matrix is not unimodular")
-    return [
-        [sum(W[i][t] * U[t][j] for t in range(n)) for j in range(n)] for i in range(n)
-    ]
 
 
 def h2_affine(Q, I, action, V):

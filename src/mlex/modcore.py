@@ -310,6 +310,17 @@ def smith_normal_form(A):
     return U, D, V
 
 
+def int_inverse(V):
+    """Inverse of a unimodular integer matrix."""
+    n = len(V)
+    U, D, W = smith_normal_form(V)
+    # V unimodular: D is the identity, so V^{-1} = W * U
+    for i in range(n):
+        if D[i][i] != 1:
+            raise MlexError("matrix is not unimodular")
+    return [[sum(W[i][t] * U[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+
 def _mat_vec(M, v):
     return [sum(a * b for a, b in zip(row, v)) for row in M]
 

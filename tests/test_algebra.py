@@ -173,6 +173,23 @@ def test_homomorphism_examples(F2):
     assert find_isomorphism(F2, F2) is not None
 
 
+def test_find_isomorphism_across_presentations():
+    Z6, Z23 = ZmModule(6, (6,)), ZmModule(6, (2, 3))
+    assert find_isomorphism(Algebra(Z6), Algebra(Z23)) is not None
+    assert find_isomorphism(Algebra(Z23), Algebra(Z6)) is not None
+    assert find_isomorphism(Algebra(ZmModule(6, (1, 6))), Algebra(Z6)) is not None
+    # the ring Z6 and its CRT image Z2 x Z3
+    ring6 = Algebra(Z6, {"f": MultilinearOp("f", 2, Z6, {(0, 0): Z6.generator(0)})})
+    ring23 = Algebra(
+        Z23,
+        {"f": MultilinearOp("f", 2, Z23, {(0, 0): Z23.generator(0), (1, 1): Z23.generator(1)})},
+    )
+    phi = find_isomorphism(ring6, ring23)
+    assert phi is not None and phi.is_bijective() and is_homomorphism(ring6, ring23, phi)
+    zero23 = Algebra(Z23, {"f": MultilinearOp("f", 2, Z23, {})})
+    assert find_isomorphism(ring6, zero23) is None
+
+
 def test_subalgebra(F2):
     I = ideal_generated(F2, [F2.module.generator(0)])
     S, embed, to_sub = subalgebra(F2, I.elements)
