@@ -41,7 +41,6 @@ from .cocycle import (
     mlf_variety,
     realizes,
     realizes_raw,
-    semidirect,
 )
 from .cohomology import (
     derivations,

@@ -156,10 +156,6 @@ class Algebra:
         return f"Algebra({self.module}, ops={sorted(self.ops)})"
 
 
-def eval_op(A, name, args):
-    return A.eval_op(name, args)
-
-
 @dataclass
 class Ideal:
     """A submodule absorbing every multilinear operation."""
@@ -370,26 +366,14 @@ def quotient(A, I):
 def subalgebra(A, subset):
     """Algebra structure on a subset closed under +, scalars and ops.
 
-    Returns (S, embed) with embed a LinMap S.module -> A.module.
+    Returns (S, embed, to_sub): embed is a LinMap S.module -> A.module
+    and to_sub maps each element of the subset to its coordinates in S.
     """
     subset = sorted(set(subset), key=lambda e: e.coords)
     M = A.module
-    orders, gens, coords = abelian_decomposition(subset, M.add, M.zero())
-    Smod = ZmModule(M.modulus, tuple(orders))
-    to_sub = {e: Smod.element(c) for e, c in coords.items()}
-    from_sub = {v: e for e, v in to_sub.items()}
-    ops = {}
-    for name, op in A.ops.items():
-        table = {}
-        for key in itertools.product(range(Smod.rank), repeat=op.arity):
-            args = [from_sub[Smod.generator(i)] for i in key]
-            v = op(*args)
-            if v not in to_sub:
-                raise MlexError("subset is not closed under the operations")
-            table[key] = to_sub[v]
-        ops[name] = MultilinearOp(name, op.arity, Smod, table)
-    S = Algebra(Smod, ops)
-    embed = LinMap(Smod, M, tuple(from_sub[g] for g in [Smod.generator(i) for i in range(Smod.rank)]))
+    op_specs = {name: (op.arity, op) for name, op in A.ops.items()}
+    S, to_sub, from_sub = algebra_from_ops(subset, M.add, M.zero(), op_specs, M.modulus)
+    embed = LinMap(S.module, M, tuple(from_sub[g] for g in S.module.generators()))
     return S, embed, to_sub
 
 
@@ -398,7 +382,8 @@ def algebra_from_ops(items, add, zero, op_specs, modulus):
 
     ``items`` is the carrier, ``add`` its addition, ``op_specs`` maps an
     operation name to (arity, callable).  Returns (B, encode, decode)
-    where encode maps raw items to canonical Elements.
+    where encode maps raw items to canonical Elements.  Raises MlexError
+    when an operation value falls outside ``items``.
     """
     orders, gens, coords = abelian_decomposition(list(items), add, zero)
     mod = ZmModule(modulus, tuple(orders))
@@ -409,7 +394,10 @@ def algebra_from_ops(items, add, zero, op_specs, modulus):
         table = {}
         for key in itertools.product(range(mod.rank), repeat=arity):
             args = [decode[mod.generator(i)] for i in key]
-            table[key] = encode[func(*args)]
+            value = func(*args)
+            if value not in encode:
+                raise MlexError("subset is not closed under the operations")
+            table[key] = encode[value]
         ops[name] = MultilinearOp(name, arity, mod, table)
     return Algebra(mod, ops), encode, decode
 

@@ -25,6 +25,7 @@ from .cocycle import (
     is_compatible,
     kernel_kind,
     mlf_variety,
+    realizes_raw,
 )
 from .cohomology import derivations as datum_derivations
 from .cohomology import enumerate_h2, h1, h2_affine
@@ -43,11 +44,6 @@ USAGE_ERROR, PROPERTY_ERROR = 2, 1
 
 def _elem(e):
     return "(" + ",".join(str(c) for c in e.coords) + ")"
-
-
-def _load(path):
-    # parse and validation errors propagate to main(), which exits with 2
-    return wsmod.load(path)
 
 
 def _fail(message, code):
@@ -79,7 +75,7 @@ def _print_report(lines, as_json, payload):
 
 
 def cmd_check(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     rng = random.Random(args.seed)
     lines = [
         f"modulus {ws.modulus}",
@@ -94,8 +90,6 @@ def cmd_check(args):
         ok, reason = raw.legality()
         lines.append(f"cocycle {name}: semidirect {'legal' if ok else 'raw only'}"
                      + (f" ({reason})" if reason else ""))
-        from .cocycle import realizes_raw
-
         if not realizes_raw(raw, T):
             failures.append(f"cocycle {name}: semidirect fails realization")
         sig = _signature_of(ws, T.Q)
@@ -144,7 +138,7 @@ def _random_term(rng, sig, depth):
 
 
 def cmd_semidirect(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     T = ws.cocycle(args.cocycle)
     raw = SemidirectProduct(T)
     ok, reason = raw.legality()
@@ -177,7 +171,7 @@ def _pair(u):
 
 
 def cmd_extract(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     A = ws.algebra(args.algebra)
     ideal = ws.ideal(args.ideal)
     from .algebra import quotient, subalgebra
@@ -215,7 +209,7 @@ def cmd_extract(args):
 
 
 def cmd_equivalent(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     T1, T2 = ws.cocycle(args.left), ws.cocycle(args.right)
     h = equivalent(T1, T2)
     if h is None:
@@ -248,7 +242,7 @@ def cmd_equivalent(args):
 
 
 def cmd_h2(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     Q = ws.algebra(args.q)
     I = ws.algebra(args.i)
     sig = _signature_of(ws, Q)
@@ -306,7 +300,7 @@ def _cocycle_line(T):
 
 
 def cmd_h1(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     Q = ws.algebra(args.q)
     I = ws.algebra(args.i)
     action = ws.action(args.action)
@@ -337,7 +331,7 @@ def cmd_h1(args):
 
 
 def cmd_derivations(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     if args.algebra:
         A = ws.algebra(args.algebra)
         ders = derivations_of(A)
@@ -362,7 +356,7 @@ def cmd_derivations(args):
 
 
 def cmd_wells(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     T = ws.cocycle(args.cocycle)
     raw = SemidirectProduct(T)
     if not raw.is_legal():
@@ -380,7 +374,7 @@ def cmd_wells(args):
 
 
 def cmd_hs(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     M = ws.algebra(args.algebra)
     ideal = ws.ideal(args.ideal)
     A = ws.algebra(args.coeff)
@@ -403,10 +397,10 @@ def cmd_hs(args):
 
 def cmd_expand(args):
     if args.variety.endswith(".mlex"):
-        ws = _load(args.variety)
+        ws = wsmod.load(args.variety)
         varieties = [ws.varieties[n] for n in sorted(ws.varieties)]
     else:
-        ws = _load(args.fixture) if args.fixture else None
+        ws = wsmod.load(args.fixture) if args.fixture else None
         if ws is None:
             raise MlexError("--variety must be a .mlex file or used with --fixture")
         varieties = [ws.variety(args.variety)]
@@ -430,7 +424,7 @@ def cmd_expand(args):
 
 
 def cmd_decompose(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     A = ws.algebra(args.algebra)
     try:
         result = decompose(A, args.kind)
@@ -452,7 +446,7 @@ def cmd_decompose(args):
 
 
 def cmd_series(args):
-    ws = _load(args.fixture)
+    ws = wsmod.load(args.fixture)
     A = ws.algebra(args.algebra)
     chain, reaches_zero, steps = algebra_series(A, args.kind)
     lines = []

@@ -92,9 +92,8 @@ class Action:
 
     def validate(self):
         """The conditions making the tables a genuine action (code T4)."""
-        I, Q = self.I, self.Q
+        I = self.I
         for (f, s), table in self.tables.items():
-            off = self.off_slots(f, s)
             for (qoff, asub), value in table.items():
                 if any(q.is_zero() for q in qoff) and not value.is_zero():
                     raise ValidationError(
@@ -102,7 +101,8 @@ class Action:
                         clause="T4",
                         where=f"({_fmt(qoff)}|{_fmt(asub)})",
                     )
-            # additivity in each distinguished slot
+            # additivity in each distinguished slot; scalar linearity follows,
+            # since r*a is r-fold addition in a Z/m-module
             for pos in range(len(s)):
                 for (qoff, asub) in table:
                     for extra in mod_elements(I.module):
@@ -115,18 +115,6 @@ class Action:
                         if lhs != rhs:
                             raise ValidationError(
                                 f"action a({f},{_show_s(s)}) not additive in slot {s[pos] + 1}",
-                                clause="T4",
-                                where=f"({_fmt(qoff)}|{_fmt(asub)})",
-                            )
-                for (qoff, asub) in table:
-                    for r in range(I.module.modulus):
-                        scaled = list(asub)
-                        scaled[pos] = I.module.scalar(r, scaled[pos])
-                        if table[(qoff, tuple(scaled))] != I.module.scalar(
-                            r, table[(qoff, asub)]
-                        ):
-                            raise ValidationError(
-                                f"action a({f},{_show_s(s)}) not scalar-linear in slot {s[pos] + 1}",
                                 clause="T4",
                                 where=f"({_fmt(qoff)}|{_fmt(asub)})",
                             )
@@ -317,53 +305,44 @@ class Cocycle:
     def from_cells(action, tplus_cells=None, tf_cells=None):
         """Build from sparse factor-set cells; scalar factor sets are the
         telescoped sums forced by writing r*x as repeated addition."""
-        Q, I = action.Q, action.I
         T = Cocycle(action, dict(tplus_cells or {}), {}, dict(tf_cells or {}))
-        for r in range(Q.module.modulus):
-            for x in mod_elements(Q.module):
-                acc = I.module.zero()
-                for j in range(1, r):
-                    acc = I.module.add(acc, T.tplus[(Q.module.scalar(j, x), x)])
-                T.tr[(r, x)] = acc
+        T.tr = T._telescoped_tr()
         return T
 
-    def telescoped(self):
-        """Are the scalar factor sets the telescoped sums of the group one?"""
+    def _telescoped_tr(self):
+        """Scalar factor sets tr(r, x) = sum of tplus(j*x, x) for 0 < j < r."""
         Q, I = self.Q, self.I
+        tr = {}
         for r in range(Q.module.modulus):
             for x in mod_elements(Q.module):
                 acc = I.module.zero()
                 for j in range(1, r):
                     acc = I.module.add(acc, self.tplus[(Q.module.scalar(j, x), x)])
-                if self.tr[(r, x)] != acc:
-                    return False
-        return True
+                tr[(r, x)] = acc
+        return tr
+
+    def telescoped(self):
+        """Are the scalar factor sets the telescoped sums of the group one?"""
+        return self.tr == self._telescoped_tr()
 
     # -- algebraic structure on cocycles over one action ------------------
 
     def add(self, other):
-        self._require_same_action(other)
-        I = self.I.module
-        return Cocycle(
-            self.action,
-            {k: I.add(v, other.tplus[k]) for k, v in self.tplus.items()},
-            {k: I.add(v, other.tr[k]) for k, v in self.tr.items()},
-            {k: I.add(v, other.tf[k]) for k, v in self.tf.items()},
-        )
+        return self._cellwise(other, self.I.module.add)
 
     def sub(self, other):
-        self._require_same_action(other)
-        I = self.I.module
-        return Cocycle(
-            self.action,
-            {k: I.sub(v, other.tplus[k]) for k, v in self.tplus.items()},
-            {k: I.sub(v, other.tr[k]) for k, v in self.tr.items()},
-            {k: I.sub(v, other.tf[k]) for k, v in self.tf.items()},
-        )
+        return self._cellwise(other, self.I.module.sub)
 
-    def _require_same_action(self, other):
+    def _cellwise(self, other, combine):
+        """combine applied to matching cells of two cocycles over one action."""
         if self.action != other.action:
             raise MlexError("cocycle arithmetic needs a common action")
+        return Cocycle(
+            self.action,
+            {k: combine(v, other.tplus[k]) for k, v in self.tplus.items()},
+            {k: combine(v, other.tr[k]) for k, v in self.tr.items()},
+            {k: combine(v, other.tf[k]) for k, v in self.tf.items()},
+        )
 
     def is_group_trivial_table(self):
         return all(v.is_zero() for v in self.tplus.values())
@@ -673,13 +652,6 @@ class SemidirectProduct:
         return ExtensionRecord(M, self.Q, self.I, pi, iota, lifting), encode, decode
 
 
-def semidirect(I, Q, T):
-    """Convenience constructor; the cocycle already pins the datum."""
-    if T.I != I or T.Q != Q:
-        raise MlexError("cocycle does not match the datum")
-    return SemidirectProduct(T)
-
-
 @dataclass
 class ExtensionRecord:
     """A concrete extension pi: M ->> Q with embedded kernel and lifting."""
@@ -744,143 +716,103 @@ class ExtensionRecord:
         return ExtensionRecord(self.M, self.Q, self.I, self.pi, self.iota, lifting)
 
 
-def realizes(E, T, _ops=None):
-    """Do the four realization equations hold for this extension/lifting?"""
-    M, Q, I = E.M, E.Q, E.I
-    inv = E.iota_inverse()
-    l = E.lifting
+def _realized_tables(Q, I, carrier, lift, embed, down):
+    """The four realization equations of a lifting, evaluated once.
 
-    def down(m):
-        if m not in inv:
-            return None
-        return inv[m]
-
+    ``carrier`` supplies add/neg/scalar/apply_op, ``lift`` maps Q into it,
+    ``embed`` maps I into it and ``down`` maps a carrier element back to
+    I, or to None outside the embedded kernel.  Returns the group, scalar
+    and operation factor sets and the action tables, keyed as in a
+    Cocycle; an entry is None where its equation leaves the kernel.
+    Action terms depend only on the quotient entries outside the slot
+    subset and the kernel entries inside it, so only those keys are
+    evaluated.
+    """
     qs = mod_elements(Q.module)
-    for x in qs:
-        for y in qs:
-            got = down(M.module.sub(M.module.add(l[x], l[y]), l[Q.module.add(x, y)]))
-            if got != T.tplus[(x, y)]:
-                return False
-    for r in range(Q.module.modulus):
-        for x in qs:
-            got = down(M.module.sub(M.module.scalar(r, l[x]), l[Q.module.scalar(r, x)]))
-            if got != T.tr[(r, x)]:
-                return False
-    for f, op in Q.ops.items():
-        n = op.arity
-        for xs in itertools.product(qs, repeat=n):
-            lifted = [l[x] for x in xs]
-            got = down(M.module.sub(M.eval_op(f, lifted), l[Q.eval_op(f, xs)]))
-            if got != T.tf[(f, xs)]:
-                return False
-        for s in proper_subsets(n):
-            for xs in itertools.product(qs, repeat=n):
-                lifted = [l[x] for x in xs]
-                for avec in itertools.product(mod_elements(I.module), repeat=n):
-                    subbed = substitute(lifted, s, [E.iota(avec[i]) for i in s])
-                    got = down(M.eval_op(f, subbed))
-                    if got != T.action.value(f, s, xs, avec):
-                        return False
-    return True
+    add, neg = carrier.add, carrier.neg
 
+    def defect(u, x):
+        """u minus the lift of x, pulled back to the kernel."""
+        return down(add(u, neg(lift(x))))
 
-def realizes_raw(raw, T):
-    """Realization check for the raw semidirect table with its canonical
-    embedding, projection and lifting."""
-    Q, I = raw.Q, raw.I
-    qs = mod_elements(Q.module)
-
-    def down(u):
-        a, x = u
-        return a if x.is_zero() else None
-
-    for x in qs:
-        for y in qs:
-            got = down(
-                raw.add(raw.add(raw.lift(x), raw.lift(y)), raw.neg(raw.lift(Q.module.add(x, y))))
-            )
-            if got != T.tplus[(x, y)]:
-                return False
-    for r in range(Q.module.modulus):
-        for x in qs:
-            got = down(
-                raw.add(
-                    raw.scalar(r, raw.lift(x)),
-                    raw.neg(raw.lift(Q.module.scalar(r, x))),
-                )
-            )
-            if got != T.tr[(r, x)]:
-                return False
-    for f, op in Q.ops.items():
-        n = op.arity
-        for xs in itertools.product(qs, repeat=n):
-            lifted = [raw.lift(x) for x in xs]
-            got = down(
-                raw.add(raw.apply_op(f, lifted), raw.neg(raw.lift(Q.eval_op(f, xs))))
-            )
-            if got != T.tf[(f, xs)]:
-                return False
-        for s in proper_subsets(n):
-            for xs in itertools.product(qs, repeat=n):
-                lifted = [raw.lift(x) for x in xs]
-                for avec in itertools.product(mod_elements(I.module), repeat=n):
-                    subbed = substitute(lifted, s, [raw.embed_kernel(avec[i]) for i in s])
-                    got = down(raw.apply_op(f, subbed))
-                    if got != T.action.value(f, s, xs, avec):
-                        return False
-    return True
-
-
-def extract_cocycle(E):
-    """The cocycle defined by the extension's lifting."""
-    M, Q, I = E.M, E.Q, E.I
-    inv = E.iota_inverse()
-    l = E.lifting
-
-    def down(m, what):
-        if m not in inv:
-            raise ConsistencyError(f"{what} landed outside the embedded kernel")
-        return inv[m]
-
-    qs = mod_elements(Q.module)
-    tplus = {}
-    for x in qs:
-        for y in qs:
-            tplus[(x, y)] = down(
-                M.module.sub(M.module.add(l[x], l[y]), l[Q.module.add(x, y)]),
-                "group factor set",
-            )
-    tr = {}
-    for r in range(Q.module.modulus):
-        for x in qs:
-            tr[(r, x)] = down(
-                M.module.sub(M.module.scalar(r, l[x]), l[Q.module.scalar(r, x)]),
-                "scalar factor set",
-            )
+    tplus = {
+        (x, y): defect(add(lift(x), lift(y)), Q.module.add(x, y))
+        for x in qs
+        for y in qs
+    }
+    tr = {
+        (r, x): defect(carrier.scalar(r, lift(x)), Q.module.scalar(r, x))
+        for r in range(Q.module.modulus)
+        for x in qs
+    }
     tf = {}
     action_tables = {}
     for f, op in Q.ops.items():
         n = op.arity
         for xs in itertools.product(qs, repeat=n):
-            lifted = [l[x] for x in xs]
-            tf[(f, xs)] = down(
-                M.module.sub(M.eval_op(f, lifted), l[Q.eval_op(f, xs)]),
-                f"factor set for {f}",
-            )
+            tf[(f, xs)] = defect(carrier.apply_op(f, [lift(x) for x in xs]), Q.eval_op(f, xs))
         for s in proper_subsets(n):
             off = tuple(i for i in range(n) if i not in s)
             table = {}
             for qoff in itertools.product(qs, repeat=len(off)):
-                xs = [Q.module.zero()] * n
+                lifted = [None] * n
                 for i, q in zip(off, qoff):
-                    xs[i] = q
-                lifted = [l[x] for x in xs]
+                    lifted[i] = lift(q)
                 for asub in itertools.product(mod_elements(I.module), repeat=len(s)):
-                    subbed = substitute(lifted, s, [E.iota(a) for a in asub])
-                    table[(qoff, asub)] = down(M.eval_op(f, subbed), f"action a({f},..)")
+                    subbed = substitute(lifted, s, [embed(a) for a in asub])
+                    table[(qoff, asub)] = down(carrier.apply_op(f, subbed))
             action_tables[(f, s)] = table
-    action = Action(Q, I, action_tables)
-    T = Cocycle(action, tplus, tr, tf)
+    return tplus, tr, tf, action_tables
+
+
+def _extension_tables(E):
+    return _realized_tables(
+        E.Q, E.I, E.M, E.lifting.__getitem__, E.iota, E.iota_inverse().get
+    )
+
+
+def _matches(tables, T):
+    tplus, tr, tf, action_tables = tables
+    return (
+        tplus == T.tplus
+        and tr == T.tr
+        and tf == T.tf
+        and action_tables == T.action.tables
+    )
+
+
+def realizes(E, T):
+    """Do the four realization equations hold for this extension/lifting?"""
+    return _matches(_extension_tables(E), T)
+
+
+def realizes_raw(raw, T):
+    """Realization check for the raw semidirect table with its canonical
+    embedding, projection and lifting."""
+
+    def down(u):
+        a, x = u
+        return a if x.is_zero() else None
+
+    tables = _realized_tables(raw.Q, raw.I, raw, raw.lift, raw.embed_kernel, down)
+    return _matches(tables, T)
+
+
+def extract_cocycle(E):
+    """The cocycle defined by the extension's lifting."""
+    tplus, tr, tf, action_tables = _extension_tables(E)
+
+    def require(values, what):
+        if any(v is None for v in values):
+            raise ConsistencyError(f"{what} landed outside the embedded kernel")
+
+    require(tplus.values(), "group factor set")
+    require(tr.values(), "scalar factor set")
+    for f, op in E.Q.ops.items():
+        require((v for (g, _), v in tf.items() if g == f), f"factor set for {f}")
+        for s in proper_subsets(op.arity):
+            require(action_tables[(f, s)].values(), f"action a({f},..)")
+    T = Cocycle(Action(E.Q, E.I, action_tables), tplus, tr, tf)
     T.validate()
     return T
 

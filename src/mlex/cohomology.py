@@ -13,7 +13,13 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ConsistencyError, MlexError
-from .modcore import int_inverse, mod_elements, smith_normal_form, solve_congruences
+from .modcore import (
+    hom_enumerate,
+    int_inverse,
+    mod_elements,
+    smith_normal_form,
+    solve_congruences,
+)
 from .algebra import is_homomorphism
 from . import termlang
 from .cocycle import (
@@ -455,7 +461,6 @@ def hom_kill_commutator(Q, I):
     """Independent description for central datum: module maps vanishing
     on the commutator ideal of Q."""
     from .algebra import commutator, whole_ideal
-    from .modcore import hom_enumerate
 
     qq = commutator(whole_ideal(Q), whole_ideal(Q))
     out = []
@@ -472,7 +477,7 @@ def stab_automorphisms(E):
     M = E.M
     inv = E.iota_inverse()
     auts = []
-    for phi in _endomorphism_candidates(M):
+    for phi in hom_enumerate(M.module, M.module):
         if not phi.is_bijective():
             continue
         if any(phi(m) != m for m in inv):
@@ -490,12 +495,6 @@ def stab_automorphisms(E):
         }
 
     return auts, to_derivation
-
-
-def _endomorphism_candidates(M):
-    from .modcore import hom_enumerate
-
-    return hom_enumerate(M.module, M.module)
 
 
 @dataclass

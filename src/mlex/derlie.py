@@ -30,10 +30,6 @@ from .cohomology import derivations as datum_derivations
 from .cohomology import h_key
 
 
-def lin_zero(source, target):
-    return LinMap.zero_map(source, target)
-
-
 def lin_add(f, g):
     return LinMap(
         f.source, f.target, tuple(f.target.add(a, b) for a, b in zip(f.images, g.images))

@@ -9,8 +9,9 @@ class ValidationError(MlexError):
     """A structural condition on a loaded or constructed object failed.
 
     ``clause`` names the violated condition using the short codes that
-    also appear in CLI error output ("T1".."T4" for cocycle
-    normalization, "R1".."R4" for realization, and so on).
+    also appear in CLI error output: "T1".."T3" for the normalization of
+    the group, scalar and operation factor sets, "T4" for the action
+    tables.
     """
 
     def __init__(self, message, clause=None, where=None):

@@ -197,6 +197,9 @@ def test_subalgebra(F2):
     assert S.is_abelian()
     for e in I.elements:
         assert embed(to_sub[e]) == e
+    # {0, e2} is a submodule, but f(e2, e2) = e1 leaves it
+    with pytest.raises(MlexError, match="not closed under the operations"):
+        subalgebra(F2, [F2.module.zero(), F2.module.generator(1)])
 
 
 def test_algebra_from_ops_roundtrip(F2):

@@ -1,6 +1,7 @@
+import contextlib
 import io
 import json
-import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,16 +63,19 @@ def test_syntax_error_position(tmp_path, capsys):
     assert "line 2" in out
 
 
+ILLEGAL_FILE = (
+    "[ring] modulus = 2\n[module Z] factors = 2\n"
+    "[algebra Q] module = Z; op f/2\n[algebra I] module = Z; op f/2\n"
+    "[action t0] Q = Q; I = I\n"
+    "[cocycle G] action = t0; Tplus: ((1),(1)) -> (1)\n"
+)
+
+
 def test_check_reports_illegal_semidirect(tmp_path, capsys):
     """A cocycle that passes normalization but builds an illegal table is
     reported as raw-only, not rejected at load."""
     fx = tmp_path / "raw.mlex"
-    fx.write_text(
-        "[ring] modulus = 2\n[module Z] factors = 2\n"
-        "[algebra Q] module = Z; op f/2\n[algebra I] module = Z; op f/2\n"
-        "[action t0] Q = Q; I = I\n"
-        "[cocycle G] action = t0; Tplus: ((1),(1)) -> (1)\n"
-    )
+    fx.write_text(ILLEGAL_FILE)
     code, out = run(["check", "--fixture", str(fx)], capsys)
     assert code == 0
     assert "semidirect raw only" in out
@@ -222,35 +226,86 @@ def test_json_reports(f2, capsys):
     assert payload["classes"] == 2
 
 
-def test_determinism_all_commands(f2, hs1, tmp_path, capsys):
-    leib = tmp_path / "leibniz.mlex"
-    leib.write_text(LEIBNIZ_FILE)
-    s3 = tmp_path / "s3.mlex"
-    s3.write_text(S3_FILE)
-    commands = [
-        ["check", "--fixture", f2],
-        ["semidirect", "--fixture", f2, "--cocycle", "T"],
-        ["extract", "--fixture", f2, "--algebra", "M", "--ideal", "K"],
-        ["equivalent", "--fixture", f2, "--left", "T", "--right", "Z0"],
-        ["h2", "--datum", f2, "--variety", "mlf", "--action", "t0"],
-        ["h2", "--datum", f2, "--variety", "mlf", "--action", "t0", "--affine"],
-        ["h1", "--fixture", f2, "--q", "Q", "--i", "I", "--action", "t0"],
-        ["derivations", "--fixture", f2, "--algebra", "M"],
-        ["derivations", "--fixture", f2, "--q", "Q", "--i", "I", "--action", "t0"],
-        ["wells", "--fixture", f2, "--cocycle", "T"],
-        ["hs", "--fixture", hs1],
-        ["expand", "--variety", str(leib), "--emit", "strict"],
-        ["expand", "--variety", str(leib), "--emit", "action"],
-        ["expand", "--variety", str(leib), "--emit", "general"],
-        ["decompose", "--fixture", f2, "--algebra", "M", "--kind", "nilpotent"],
-        ["decompose", "--fixture", str(s3), "--algebra", "S3", "--kind", "solvable"],
-        ["series", "--fixture", f2, "--algebra", "M", "--kind", "lower_central"],
-    ]
-    for argv in commands:
+# Every command's report; {name} stands for the fixture file of that name.
+REPORT_COMMANDS = [
+    ["check", "--fixture", "{f2}"],
+    ["semidirect", "--fixture", "{f2}", "--cocycle", "T"],
+    ["extract", "--fixture", "{f2}", "--algebra", "M", "--ideal", "K"],
+    ["equivalent", "--fixture", "{f2}", "--left", "T", "--right", "Z0"],
+    ["h2", "--datum", "{f2}", "--variety", "mlf", "--action", "t0"],
+    ["h2", "--datum", "{f2}", "--variety", "mlf", "--action", "t0", "--affine"],
+    ["h1", "--fixture", "{f2}", "--q", "Q", "--i", "I", "--action", "t0"],
+    ["derivations", "--fixture", "{f2}", "--algebra", "M"],
+    ["derivations", "--fixture", "{f2}", "--q", "Q", "--i", "I", "--action", "t0"],
+    ["wells", "--fixture", "{f2}", "--cocycle", "T"],
+    ["hs", "--fixture", "{hs1}"],
+    ["expand", "--variety", "{leibniz}", "--emit", "strict"],
+    ["expand", "--variety", "{leibniz}", "--emit", "action"],
+    ["expand", "--variety", "{leibniz}", "--emit", "general"],
+    ["decompose", "--fixture", "{f2}", "--algebra", "M", "--kind", "nilpotent"],
+    ["decompose", "--fixture", "{s3}", "--algebra", "S3", "--kind", "solvable"],
+    ["series", "--fixture", "{f2}", "--algebra", "M", "--kind", "lower_central"],
+]
+
+# The golden reports add check on a cocycle whose semidirect table is illegal.
+GOLDEN_COMMANDS = REPORT_COMMANDS + [["check", "--fixture", "{raw}"]]
+
+FIXTURE_FILES = {
+    "f2": F2_FILE,
+    "hs1": HS_FILE,
+    "leibniz": LEIBNIZ_FILE,
+    "s3": S3_FILE,
+    "raw": ILLEGAL_FILE,
+}
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def write_fixtures(directory):
+    """Write every fixture file into directory; name -> path."""
+    paths = {}
+    for name, text in FIXTURE_FILES.items():
+        path = Path(directory) / f"{name}.mlex"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+def fill(argv, paths):
+    return [a.format(**paths) for a in argv]
+
+
+def golden_name(k, argv):
+    return f"{k:02d}-{argv[0]}.txt"
+
+
+def golden_record(argv, paths):
+    """The exit code line followed by the exact stdout of one command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(fill(argv, paths))
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def test_determinism_all_commands(tmp_path, capsys):
+    paths = write_fixtures(tmp_path)
+    for argv in REPORT_COMMANDS:
+        argv = fill(argv, paths)
         code1, out1 = run(argv, capsys)
         code2, out2 = run(argv, capsys)
         assert code1 == code2
         assert out1 == out2, argv
+
+
+def test_golden_reports(tmp_path, monkeypatch):
+    """Reports and exit codes are byte-identical to the stored goldens;
+    fixtures are named relative to the working directory so no path in a
+    report depends on where the test runs."""
+    monkeypatch.chdir(tmp_path)
+    paths = {name: f"{name}.mlex" for name in write_fixtures(tmp_path)}
+    for k, argv in enumerate(GOLDEN_COMMANDS):
+        golden = (GOLDEN_DIR / golden_name(k, argv)).read_bytes()
+        assert golden_record(argv, paths).encode() == golden, argv
 
 
 def test_save_load_round_trip(f2, hs1):
@@ -259,3 +314,18 @@ def test_save_load_round_trip(f2, hs1):
         text1 = wsmod.save_text(ws)
         text2 = wsmod.save_text(wsmod.load_text(text1))
         assert text1 == text2
+
+
+if __name__ == "__main__":
+    # Rewrite the golden reports from the current code:
+    #   PYTHONPATH=src python tests/test_cli.py
+    import os
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        paths = {name: f"{name}.mlex" for name in write_fixtures(tmp)}
+        for k, argv in enumerate(GOLDEN_COMMANDS):
+            record = golden_record(argv, paths).encode()
+            (GOLDEN_DIR / golden_name(k, argv)).write_bytes(record)

@@ -24,7 +24,6 @@ from mlex.cocycle import (
     psi_isomorphism,
     realizes,
     realizes_raw,
-    semidirect,
 )
 from fixture_lib import (
     all_f1_cocycles,
@@ -87,7 +86,7 @@ def test_action_validation(datum):
 def test_semidirect_direct_product(datum):
     Q, I = datum
     one = one_of(Q)
-    raw = semidirect(I, Q, Cocycle.zero(Q, I))
+    raw = SemidirectProduct(Cocycle.zero(Q, I))
     assert raw.is_legal()
     assert raw.add((one, Q.module.zero()), (I.module.zero(), one)) == (one, one)
 
@@ -158,6 +157,62 @@ def test_realizes_extension_record(datum):
     Q, I = T.Q, T.I
     T0 = Cocycle.zero(Q, I)
     assert not realizes(E, T0)
+
+
+def one_cell_changes(T):
+    """Every cocycle that differs from T in exactly one cell of one table."""
+
+    def others(v):
+        return [w for w in mod_elements(T.I.module) if w != v]
+
+    factor_sets = {"tplus": T.tplus, "tr": T.tr, "tf": T.tf}
+    for name, table in factor_sets.items():
+        for key, v in table.items():
+            for w in others(v):
+                changed = dict(factor_sets, **{name: {**table, key: w}})
+                yield Cocycle(T.action, changed["tplus"], changed["tr"], changed["tf"])
+    for slot, table in T.action.tables.items():
+        for key, v in table.items():
+            for w in others(v):
+                tables = dict(T.action.tables)
+                tables[slot] = {**table, key: w}
+                yield Cocycle(Action(T.Q, T.I, tables), T.tplus, T.tr, T.tf)
+
+
+def test_realization_rejects_one_cell_changes():
+    """Changing any single cell of T+, Tr, Tf or an action table breaks
+    realization, on the raw table and, when legal, on its extension."""
+    from mlex.cohomology import enumerate_cocycles
+
+    cocycles = all_f1_cocycles() + list(enumerate_cocycles(*pure_datum_m4()))
+    for T in cocycles:
+        raw = SemidirectProduct(T)
+        E = raw.extension_record()[0] if raw.is_legal() else None
+        changed = list(one_cell_changes(T))
+        assert len(changed) >= 8
+        for T2 in changed:
+            assert not realizes_raw(raw, T2)
+            assert E is None or not realizes(E, T2)
+
+
+def test_extract_rejects_liftings_that_are_not_sections():
+    """A lifting into the wrong fibres sends a factor set outside the
+    kernel, and the error names the family that left it."""
+    Z22 = ZmModule(2, (2, 2))
+    Q = Algebra(Z22, {"f": MultilinearOp("f", 2, Z22, {(0, 0): Z22.generator(0)})})
+    _, I = f1_datum()
+    E, _, _ = SemidirectProduct(Cocycle.zero(Q, I)).extension_record()
+    e1, e2 = Z22.generators()
+    # e1 takes the lift of e2 and nothing else moves: not additive modulo
+    # the kernel at (e1, e2)
+    moved = dict(E.lifting)
+    moved[e1] = E.lifting[e2]
+    with pytest.raises(ConsistencyError, match="^group factor set landed outside"):
+        extract_cocycle(E.with_lifting(moved))
+    # swapping the fibres is additive, but f(e1, e1) = e1 while f(e2, e2) = 0
+    swapped = {x: E.lifting[Z22.element(x.coords[::-1])] for x in mod_elements(Z22)}
+    with pytest.raises(ConsistencyError, match="^factor set for f landed outside"):
+        extract_cocycle(E.with_lifting(swapped))
 
 
 def test_extract_round_trip(datum):
