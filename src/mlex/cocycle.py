@@ -20,7 +20,6 @@ from .algebra import (
     Ideal,
     algebra_from_ops,
     commutator,
-    find_isomorphism,
     is_homomorphism,
     quotient,
     series,
@@ -167,6 +166,12 @@ def _reduced_key_order(key):
 
 def _fmt(vec):
     return ",".join(str(v) for v in vec)
+
+
+def _show_pair(u):
+    """A pair (a, x) of I x Q written <a,x>."""
+    a, x = u
+    return f"<{a},{x}>"
 
 
 def _show_s(s):
@@ -572,13 +577,12 @@ class SemidirectProduct:
             for r in range(m):
                 rx = r * nq + x
                 if iadd[iscal[r * ni + a] * ni + trt[rx]] * nq + qscal[rx] != acc:
-                    return (
-                        False,
-                        f"scalar {r} disagrees with repeated addition at {self.universe()[u]}",
-                    )
+                    at = _show_pair(self.universe()[u])
+                    return False, f"scalar {r} disagrees with repeated addition at {at}"
                 acc = add(acc, u)
             if acc != 0:
-                return False, f"element {self.universe()[u]} not annihilated by the modulus"
+                at = _show_pair(self.universe()[u])
+                return False, f"element {at} not annihilated by the modulus"
         if not self.Q.ops:
             return True, None
         # multilinearity of every operation in every slot
@@ -771,7 +775,8 @@ def _extension_tables(E):
     )
 
 
-def _matches(tables, T):
+def matches(tables, T):
+    """Are realized tables exactly T's factor sets and action tables?"""
     tplus, tr, tf, action_tables = tables
     return (
         tplus == T.tplus
@@ -783,19 +788,30 @@ def _matches(tables, T):
 
 def realizes(E, T):
     """Do the four realization equations hold for this extension/lifting?"""
-    return _matches(_extension_tables(E), T)
+    return matches(_extension_tables(E), T)
+
+
+def _kernel_part(u):
+    """The kernel entry of a pair of a raw table, or None off the kernel."""
+    a, x = u
+    return a if x.is_zero() else None
 
 
 def realizes_raw(raw, T):
     """Realization check for the raw semidirect table with its canonical
     embedding, projection and lifting."""
+    tables = _realized_tables(
+        raw.Q, raw.I, raw, raw.lift, raw.embed_kernel, _kernel_part
+    )
+    return matches(tables, T)
 
-    def down(u):
-        a, x = u
-        return a if x.is_zero() else None
 
-    tables = _realized_tables(raw.Q, raw.I, raw, raw.lift, raw.embed_kernel, down)
-    return _matches(tables, T)
+def relift(raw, h):
+    """The tables realized by the lifting x -> (h(x), x) of a raw
+    semidirect table: changing the lifting by h."""
+    return _realized_tables(
+        raw.Q, raw.I, raw, lambda x: (h[x], x), raw.embed_kernel, _kernel_part
+    )
 
 
 def extract_cocycle(E):
@@ -858,108 +874,49 @@ def all_witness_maps(Q, I):
 
 
 def equivalent(T, Tp):
-    """First witness h making (a,x) -> (a - h(x), x) an isomorphism of the
-    two semidirect tables, or None."""
+    """First witness h, in ``all_witness_maps`` order, whose lifting
+    x -> (h(x), x) of T's semidirect table realizes Tp, or None.
+
+    For cocycles satisfying T1-T4 this is exactly when
+    (a, x) -> (a - h(x), x) is an isomorphism of the two semidirect
+    tables.  For addition and scalars the two conditions are one identity
+    on any table; for the operations they agree because the kernel
+    operations are multilinear and both actions are additive in each slot.
+    Only T's table is built.
+    """
     if not T.same_datum(Tp):
         raise MlexError("equivalence requires a common datum")
-    raw1, raw2 = SemidirectProduct(T), SemidirectProduct(Tp)
-    Q, I = T.Q, T.I
-    universe = raw1.universe()
-    for h in all_witness_maps(Q, I):
-        def gamma(u):
-            a, x = u
-            return (I.module.sub(a, h[x]), x)
-
-        ok = True
-        for u in universe:
-            for v in universe:
-                if gamma(raw1.add(u, v)) != raw2.add(gamma(u), gamma(v)):
-                    ok = False
-                    break
-            if not ok:
-                break
-            for r in range(raw1.modulus):
-                if gamma(raw1.scalar(r, u)) != raw2.scalar(r, gamma(u)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for f, op in Q.ops.items():
-                for args in itertools.product(universe, repeat=op.arity):
-                    if gamma(raw1.apply_op(f, args)) != raw2.apply_op(
-                        f, [gamma(u) for u in args]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+    raw = SemidirectProduct(T)
+    for h in all_witness_maps(T.Q, T.I):
+        if matches(relift(raw, h), Tp):
             return h
     return None
 
 
+def negated(h, I):
+    """The witness map x -> -h(x)."""
+    return {x: I.module.neg(v) for x, v in h.items()}
+
+
 def coboundary(h, action):
-    """The cocycle determined by a lifting change h over a reference action."""
+    """The cocycle determined by a lifting change h over a reference action:
+    the zero cocycle minus what the lifting x -> (-h(x), x) of its split
+    table realizes, cell by cell, action tables included."""
     Q, I = action.Q, action.I
-    zq = Q.module.zero()
-    if not h[zq].is_zero():
+    if not h[Q.module.zero()].is_zero():
         raise MlexError("witness map must send zero to zero")
-    Im = I.module
+    Z = Cocycle.zero(Q, I, action)
+    tplus, tr, tf, action_tables = relift(SemidirectProduct(Z), negated(h, I))
 
-    def sign(k):
-        return 1 if k % 2 == 0 else Im.modulus - 1
+    def minus(ref, table):
+        return {k: I.module.sub(ref[k], v) for k, v in table.items()}
 
-    qs = mod_elements(Q.module)
-    tplus = {
-        (x, y): Im.sub(Im.add(h[x], h[y]), h[Q.module.add(x, y)])
-        for x in qs
-        for y in qs
-    }
-    tr = {
-        (r, x): Im.sub(Im.scalar(r, h[x]), h[Q.module.scalar(r, x)])
-        for r in range(Q.module.modulus)
-        for x in qs
-    }
-    tf = {}
-    action_tables = {}
-    for f, op in Q.ops.items():
-        n = op.arity
-        for xs in itertools.product(qs, repeat=n):
-            hx = [h[x] for x in xs]
-            acc = Im.zero()
-            for s in proper_subsets(n):
-                acc = Im.add(
-                    acc,
-                    Im.scalar(sign(1 + len(s)), action.value(f, s, xs, hx)),
-                )
-            acc = Im.add(acc, Im.scalar(sign(1 + n), I.eval_op(f, hx)))
-            acc = Im.sub(acc, h[Q.eval_op(f, xs)])
-            tf[(f, xs)] = acc
-        for s in proper_subsets(n):
-            off = tuple(i for i in range(n) if i not in s)
-            table = {}
-            for qoff in itertools.product(qs, repeat=len(off)):
-                xs = [zq] * n
-                for i, q in zip(off, qoff):
-                    xs[i] = q
-                hx = [h[x] for x in xs]
-                for asub in itertools.product(mod_elements(Im), repeat=len(s)):
-                    args = substitute(hx, s, asub)
-                    acc = Im.zero()
-                    for r_set in proper_subsets(n):
-                        if set(s) < set(r_set):
-                            acc = Im.add(
-                                acc,
-                                Im.scalar(
-                                    sign(1 + len(r_set) - len(s)),
-                                    action.value(f, r_set, xs, args),
-                                ),
-                            )
-                    acc = Im.add(acc, Im.scalar(sign(1 + n - len(s)), I.eval_op(f, args)))
-                    table[(qoff, asub)] = acc
-            action_tables[(f, s)] = table
-    G = Cocycle(Action(Q, I, action_tables), tplus, tr, tf)
+    G = Cocycle(
+        Action(Q, I, {k: minus(action.tables[k], t) for k, t in action_tables.items()}),
+        minus(Z.tplus, tplus),
+        minus(Z.tr, tr),
+        minus(Z.tf, tf),
+    )
     G.validate()
     return G
 
@@ -1146,7 +1103,13 @@ def decompose(M, kind):
         if not (phi_next.is_bijective() and is_homomorphism(R_next, A_next, phi_next)):
             raise ConsistencyError("stage reconstruction failed to match the quotient")
         R, phi = R_next, phi_next
-    iso = find_isomorphism(R, M)
+    # the last quotient is M/0, so its section is the inverse of M -> M/0
+    sect_last = quotients[-1][2]
+    iso = LinMap(
+        R.module, M.module, tuple(sect_last[phi(g)] for g in R.module.generators())
+    )
+    if not (iso.is_bijective() and is_homomorphism(R, M, iso)):
+        iso = None
     return Decomposition(kind, A_prev, stages, R, iso)
 
 

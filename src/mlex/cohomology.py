@@ -27,9 +27,10 @@ from .cocycle import (
     DatumError,
     SemidirectProduct,
     all_witness_maps,
-    coboundary,
     enumerate_actions,
     equivalent,
+    matches,
+    relift,
 )
 
 
@@ -163,14 +164,10 @@ class AffineH2:
         self._solve()
 
     # cell vectors are integer tuples: one entry per (cell, I-coordinate)
-    def _vector_of(self, T):
+    def _vector_of(self, tplus, tf):
         out = []
         for cell in self.cells:
-            v = (
-                T.tplus[(cell[1], cell[2])]
-                if cell[0] == "plus"
-                else T.tf[(cell[1], cell[2])]
-            )
+            v = (tplus if cell[0] == "plus" else tf)[(cell[1], cell[2])]
             out.extend(v.coords)
         return tuple(out)
 
@@ -288,8 +285,8 @@ class AffineH2:
             raise MlexError("affine datum needs an abelian kernel algebra")
         if not self.action.is_unary():
             raise MlexError("affine datum needs a purely unary action")
-        base = Cocycle.zero(self.Q, self.I, self.action)
-        if not is_compatible(base, self.variety):
+        base = SemidirectProduct(Cocycle.zero(self.Q, self.I, self.action))
+        if not is_compatible(base.T, self.variety, raw=base):
             raise MlexError(
                 f"action is not compatible with variety {self.variety.name!r}"
             )
@@ -328,11 +325,11 @@ class AffineH2:
             self._gen_matrix = gen_matrix
         else:
             self._gen_matrix = [[] for _ in range(ncols)]
+        # over affine datum the lifting change h of the split table
+        # realizes exactly the factor sets of the coboundary of h
         for h in _witness_basis(self.Q, self.I):
-            G = coboundary(h, self.action)
-            if not G.action.is_trivial() and not self.action.is_unary():
-                raise ConsistencyError("affine coboundary produced action terms")
-            coords = self._gen_coordinates(self._vector_of(G))
+            tplus, _, tf, _ = relift(base, h)
+            coords = self._gen_coordinates(self._vector_of(tplus, tf))
             if coords is None:
                 raise ConsistencyError(
                     "coboundary outside the compatible cocycle group"
@@ -395,7 +392,7 @@ class AffineH2:
 
     def class_of(self, T):
         """Coordinates of [T] in the invariant-factor presentation."""
-        coords = self._gen_coordinates(self._vector_of(T))
+        coords = self._gen_coordinates(self._vector_of(T.tplus, T.tf))
         if coords is None:
             raise MlexError("cocycle is not strictly compatible with the variety")
         if not self._zgens:
@@ -440,12 +437,16 @@ def h_key(h, Q):
 
 
 def derivations(Q, I, action):
-    """All maps h with null coboundary, sorted by their value tables."""
-    out = []
-    for h in all_witness_maps(Q, I):
-        G = coboundary(h, action)
-        if G.factor_sets_zero() and G.action.is_trivial():
-            out.append(h)
+    """All maps h with null coboundary, sorted by their value tables.
+
+    These are the h whose lifting x -> (h(x), x) of the split table
+    realizes the zero cocycle again, the stabilizing automorphisms of
+    the split extension; they form a group, since the lifting changes
+    for h and g compose to the one for h + g.
+    """
+    zero = Cocycle.zero(Q, I, action)
+    raw = SemidirectProduct(zero)
+    out = [h for h in all_witness_maps(Q, I) if matches(relift(raw, h), zero)]
     out.sort(key=lambda h: h_key(h, Q))
     # the set must be closed under pointwise addition
     keys = {h_key(h, Q) for h in out}

@@ -21,9 +21,11 @@ from .cocycle import (
     ExtensionRecord,
     SemidirectProduct,
     all_witness_maps,
-    coboundary,
+    equivalent,
     extract_cocycle,
     is_compatible,
+    negated,
+    relift,
     substitute,
 )
 from .cohomology import derivations as datum_derivations
@@ -258,19 +260,14 @@ def group_trivialize(T):
 
 
 def shift_by_coboundary(T, h):
-    """T minus the coboundary of h over T's own action (affine datum)."""
+    """T minus the coboundary of h over T's own action (affine datum):
+    what the lifting x -> (-h(x), x) of T's table realizes."""
     if not T.is_linear() or not T.I.is_abelian():
         raise MlexError("coboundary shifts are implemented for affine datum")
-    G = coboundary(h, T.action)
-    if not G.action.is_trivial():
+    tplus, tr, tf, action_tables = relift(SemidirectProduct(T), negated(h, T.I))
+    if action_tables != T.action.tables:
         raise ConsistencyError("affine coboundary produced action adjustments")
-    Im = T.I.module
-    return Cocycle(
-        T.action,
-        {k: Im.sub(v, G.tplus[k]) for k, v in T.tplus.items()},
-        {k: Im.sub(v, G.tr[k]) for k, v in T.tr.items()},
-        {k: Im.sub(v, G.tf[k]) for k, v in T.tf.items()},
-    )
+    return Cocycle(T.action, tplus, tr, tf)
 
 
 def twist_cocycle(T, pair):
@@ -294,20 +291,6 @@ def twist_cocycle(T, pair):
             acc = Im.sub(acc, T.tf[(f, substitute(xs, (i,), (beta(xs[i]),)))])
         tf[(f, xs)] = acc
     return Cocycle(T.action, tplus, tr, tf)
-
-
-def _is_affine_coboundary(S, action):
-    """Witness making S the coboundary of a map over the action, or None."""
-    Q, I = action.Q, action.I
-    for h in all_witness_maps(Q, I):
-        G = coboundary(h, action)
-        if (
-            G.tplus == S.tplus
-            and G.tr == S.tr
-            and G.tf == S.tf
-        ):
-            return h
-    return None
 
 
 def factor_sets_multilinear(S):
@@ -350,7 +333,7 @@ def wells_map(pair, T):
     S.validate()
     if not factor_sets_multilinear(S):
         raise ConsistencyError("twisted factor sets are not multilinear")
-    return WellsClass(S, _is_affine_coboundary(S, T.action))
+    return WellsClass(S, equivalent(Cocycle.zero(T.Q, T.I, T.action), S))
 
 
 @dataclass
@@ -586,11 +569,6 @@ def _verify_wells_corollary(E0, T0, der_ideal, psi_of, wells, ker_wells, datum_d
     checks["section action is Lie-variety compatible"] = is_compatible(
         Cocycle.zero(KW_alg, K_alg, S.action), V_lie, check_datum=False
     )
-    witness = _is_affine_coboundary(S, S.action) if S.is_linear() else None
-    if witness is None:
-        # general search: equivalence with the action-only cocycle
-        from .cocycle import equivalent
-
-        witness = equivalent(S, Cocycle.zero(KW_alg, K_alg, S.action))
+    witness = equivalent(S, Cocycle.zero(KW_alg, K_alg, S.action))
     checks["extension class of the derivation sequence vanishes"] = witness is not None
     return checks
