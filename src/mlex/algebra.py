@@ -18,6 +18,7 @@ from .modcore import (
     ZmModule,
     abelian_decomposition,
     int_inverse,
+    iter_homs,
     mod_elements,
     smith_normal_form,
     span_elements,
@@ -297,16 +298,6 @@ def series(A, kind):
     return chain, reaches_zero, steps
 
 
-def is_solvable(A):
-    _, ok, n = series(A, "derived")
-    return ok, n
-
-
-def is_nilpotent(A):
-    _, ok, n = series(A, "lower_central")
-    return ok, n
-
-
 # -- quotients and subalgebras ---------------------------------------------------
 
 
@@ -439,13 +430,7 @@ def find_isomorphism(A, B):
         return None
     if _invariant_factors(A.module) != _invariant_factors(B.module):
         return None
-    candidates = []
-    for d in A.module.factors:
-        candidates.append(
-            [e for e in mod_elements(B.module) if B.module.scalar(d, e).is_zero()]
-        )
-    for images in itertools.product(*candidates):
-        phi = LinMap(A.module, B.module, images)
+    for phi in iter_homs(A.module, B.module):
         if not phi.is_bijective():
             continue
         if is_homomorphism(A, B, phi):

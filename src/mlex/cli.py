@@ -19,6 +19,8 @@ from .algebra import series as algebra_series
 from . import termlang
 from .cocycle import (
     SemidirectProduct,
+    _reduced_key_order,
+    _show_pair,
     decompose,
     equivalent,
     extract_cocycle,
@@ -40,10 +42,6 @@ from .hs import HSDatum, verify_hs
 from . import workspace as wsmod
 
 USAGE_ERROR, PROPERTY_ERROR = 2, 1
-
-
-def _elem(e):
-    return "(" + ",".join(str(c) for c in e.coords) + ")"
 
 
 def _fail(message, code):
@@ -149,10 +147,10 @@ def cmd_semidirect(args):
     for u in universe:
         for v in universe:
             s = raw.add(u, v)
-            lines.append(f"add {_pair(u)} {_pair(v)} -> {_pair(s)}")
+            lines.append(f"add {_show_pair(u)} {_show_pair(v)} -> {_show_pair(s)}")
     for r in range(raw.modulus):
         for u in universe:
-            lines.append(f"scalar {r} {_pair(u)} -> {_pair(raw.scalar(r, u))}")
+            lines.append(f"scalar {r} {_show_pair(u)} -> {_show_pair(raw.scalar(r, u))}")
     for f in sorted(T.Q.ops):
         arity = T.Q.op_arity(f)
         import itertools
@@ -160,14 +158,10 @@ def cmd_semidirect(args):
         for args_ in itertools.product(universe, repeat=arity):
             v = raw.apply_op(f, list(args_))
             lines.append(
-                f"op {f} " + " ".join(_pair(u) for u in args_) + f" -> {_pair(v)}"
+                f"op {f} " + " ".join(_show_pair(u) for u in args_) + f" -> {_show_pair(v)}"
             )
     _print_report(lines, args.json, {"legal": ok, "reason": reason})
     return 0
-
-
-def _pair(u):
-    return f"<{_elem(u[0])},{_elem(u[1])}>"
 
 
 def cmd_extract(args):
@@ -185,22 +179,22 @@ def cmd_extract(args):
     lines = [f"quotient module {Q.module}", f"kernel module {I_alg.module}"]
     for (x, y), v in sorted(T.tplus.items(), key=lambda kv: (kv[0][0].coords, kv[0][1].coords)):
         if not v.is_zero():
-            lines.append(f"Tplus: ({_elem(x)},{_elem(y)}) -> {_elem(v)}")
+            lines.append(f"Tplus: ({x},{y}) -> {v}")
     for (r, x), v in sorted(T.tr.items(), key=lambda kv: (kv[0][0], kv[0][1].coords)):
         if not v.is_zero():
-            lines.append(f"Tr {r}: ({_elem(x)}) -> {_elem(v)}")
+            lines.append(f"Tr {r}: ({x}) -> {v}")
     for (f, xs), v in sorted(T.tf.items(), key=lambda kv: (kv[0][0], tuple(x.coords for x in kv[0][1]))):
         if not v.is_zero():
-            lines.append(f"T{f}: ({','.join(_elem(x) for x in xs)}) -> {_elem(v)}")
+            lines.append(f"T{f}: ({','.join(str(x) for x in xs)}) -> {v}")
     for f, s in T.action.slots():
         table = T.action.tables[(f, s)]
-        for key in sorted(table, key=lambda k: (tuple(q.coords for q in k[0]), tuple(a.coords for a in k[1]))):
+        for key in sorted(table, key=_reduced_key_order):
             v = table[key]
             if not v.is_zero():
                 sname = ",".join(str(i + 1) for i in s)
                 lines.append(
-                    f"a({f},{sname}): ({','.join(_elem(q) for q in key[0])}|"
-                    f"{','.join(_elem(a) for a in key[1])}) -> {_elem(v)}"
+                    f"a({f},{sname}): ({','.join(str(q) for q in key[0])}|"
+                    f"{','.join(str(a) for a in key[1])}) -> {v}"
                 )
     kinds = kernel_kind(T)
     lines.append(f"kernel abelian: {kinds['abelian']}; central: {kinds['central']}")
@@ -217,10 +211,10 @@ def cmd_equivalent(args):
         return 0
     lines = ["EQUIVALENT"]
     for x in mod_elements(T1.Q.module):
-        lines.append(f"h{_elem(x)} = {_elem(h[x])}")
+        lines.append(f"h{x} = {h[x]}")
     payload = {
         "equivalent": True,
-        "witness": {_elem(x): _elem(v) for x, v in h.items()},
+        "witness": {str(x): str(v) for x, v in h.items()},
     }
     if args.morphism:
         from .cocycle import is_h2_morphism
@@ -281,20 +275,19 @@ def _cocycle_line(T):
     bits = []
     for (x, y), v in sorted(T.tplus.items(), key=lambda kv: (kv[0][0].coords, kv[0][1].coords)):
         if not v.is_zero():
-            bits.append(f"T+({_elem(x)},{_elem(y)})={_elem(v)}")
+            bits.append(f"T+({x},{y})={v}")
     for (f, xs), v in sorted(T.tf.items(), key=lambda kv: (kv[0][0], tuple(x.coords for x in kv[0][1]))):
         if not v.is_zero():
-            bits.append(f"T{f}({','.join(_elem(x) for x in xs)})={_elem(v)}")
+            bits.append(f"T{f}({','.join(str(x) for x in xs)})={v}")
     for f, s in T.action.slots():
-        for key, v in sorted(
-            T.action.tables[(f, s)].items(),
-            key=lambda kv: (tuple(q.coords for q in kv[0][0]), tuple(a.coords for a in kv[0][1])),
-        ):
+        table = T.action.tables[(f, s)]
+        for key in sorted(table, key=_reduced_key_order):
+            v = table[key]
             if not v.is_zero():
                 sname = ",".join(str(i + 1) for i in s)
                 bits.append(
-                    f"a({f},{sname})({','.join(_elem(q) for q in key[0])}|"
-                    f"{','.join(_elem(a) for a in key[1])})={_elem(v)}"
+                    f"a({f},{sname})({','.join(str(q) for q in key[0])}|"
+                    f"{','.join(str(a) for a in key[1])})={v}"
                 )
     return "; ".join(bits) if bits else "zero cocycle"
 
@@ -315,7 +308,7 @@ def cmd_h1(args):
     ]
     for i, coset in enumerate(result.cosets):
         rep = coset[0]
-        desc = ", ".join(f"{_elem(x)}->{_elem(rep[x])}" for x in mod_elements(Q.module))
+        desc = ", ".join(f"{x}->{rep[x]}" for x in mod_elements(Q.module))
         lines.append(f"class {i}: {desc}")
     _print_report(
         lines,
@@ -338,7 +331,7 @@ def cmd_derivations(args):
         lines = [f"{len(ders)} derivations"]
         for d in ders:
             lines.append(
-                "d: " + ", ".join(f"e{i+1}->{_elem(v)}" for i, v in enumerate(d.images))
+                "d: " + ", ".join(f"e{i+1}->{v}" for i, v in enumerate(d.images))
             )
         _print_report(lines, args.json, {"count": len(ders)})
         return 0
@@ -349,7 +342,7 @@ def cmd_derivations(args):
     lines = [f"{len(ders)} derivations"]
     for d in ders:
         lines.append(
-            "h: " + ", ".join(f"{_elem(x)}->{_elem(d[x])}" for x in mod_elements(Q.module))
+            "h: " + ", ".join(f"{x}->{d[x]}" for x in mod_elements(Q.module))
         )
     _print_report(lines, args.json, {"count": len(ders)})
     return 0
@@ -451,7 +444,7 @@ def cmd_series(args):
     chain, reaches_zero, steps = algebra_series(A, args.kind)
     lines = []
     for i, ideal in enumerate(chain):
-        elems = ",".join(_elem(e) for e in ideal.sorted_elements())
+        elems = ",".join(str(e) for e in ideal.sorted_elements())
         lines.append(f"term {i}: {{{elems}}}")
     label = "solvable" if args.kind == "derived" else "nilpotent"
     if reaches_zero:

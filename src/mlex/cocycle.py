@@ -18,6 +18,7 @@ from .modcore import LinMap, mod_elements
 from .algebra import (
     Algebra,
     Ideal,
+    MultilinearOp,
     algebra_from_ops,
     commutator,
     is_homomorphism,
@@ -133,12 +134,24 @@ class Action:
             for v in table.values()
         )
 
-    def unary_slots(self):
-        return [(f, s) for (f, s) in self.slots() if len(s) == 1]
-
     @staticmethod
     def trivial(Q, I):
         return Action(Q, I)
+
+    def pull_back(self, R, phi):
+        """The action of R read through phi: R -> Q on the quotient side:
+        a(f, s) at outside-slot entries qoff is this action's value at
+        phi(qoff)."""
+        tables = {}
+        for (f, s), table in self.tables.items():
+            tables[(f, s)] = {
+                (qoff, asub): table[(tuple(phi(q) for q in qoff), asub)]
+                for qoff in itertools.product(
+                    mod_elements(R.module), repeat=len(self.off_slots(f, s))
+                )
+                for asub in itertools.product(mod_elements(self.I.module), repeat=len(s))
+            }
+        return Action(R, self.I, tables)
 
     def canonical_key(self):
         out = []
@@ -223,23 +236,16 @@ def _action_from_generator_tables(Q, I, gen_tables):
             gen_cells = gen_tables.get((f, s), {})
             for qoff in itertools.product(mod_elements(Q.module), repeat=len(off)):
                 zero_forced = any(q.is_zero() for q in qoff)
+                slot_op = MultilinearOp(
+                    f,
+                    len(s),
+                    I.module,
+                    {g: v for (q, g), v in gen_cells.items() if q == qoff},
+                )
                 for asub in itertools.product(mod_elements(I.module), repeat=len(s)):
-                    if zero_forced:
-                        table[(qoff, asub)] = I.module.zero()
-                        continue
-                    acc = I.module.zero()
-                    for gen_idx in itertools.product(
-                        range(I.module.rank), repeat=len(s)
-                    ):
-                        coeff = 1
-                        for a, g in zip(asub, gen_idx):
-                            coeff = (coeff * a.coords[g]) % I.module.modulus
-                            if coeff == 0:
-                                break
-                        if coeff:
-                            base = gen_cells.get((qoff, gen_idx), I.module.zero())
-                            acc = I.module.add(acc, I.module.scalar(coeff, base))
-                    table[(qoff, asub)] = acc
+                    table[(qoff, asub)] = (
+                        I.module.zero() if zero_forced else slot_op(*asub)
+                    )
             tables[(f, s)] = table
     return Action(Q, I, tables)
 
@@ -313,6 +319,22 @@ class Cocycle:
         T = Cocycle(action, dict(tplus_cells or {}), {}, dict(tf_cells or {}))
         T.tr = T._telescoped_tr()
         return T
+
+    def pull_back(self, R, phi):
+        """The cocycle over (R, I) read through phi: R -> Q: every factor
+        set at quotient entries xs is this cocycle's value at phi(xs), and
+        the action is pulled back the same way."""
+        rs = mod_elements(R.module)
+        return Cocycle(
+            self.action.pull_back(R, phi),
+            {(x, y): self.tplus[(phi(x), phi(y))] for x in rs for y in rs},
+            {(r, x): self.tr[(r, phi(x))] for r in range(R.module.modulus) for x in rs},
+            {
+                (f, xs): self.tf[(f, tuple(phi(x) for x in xs))]
+                for f, op in R.ops.items()
+                for xs in itertools.product(rs, repeat=op.arity)
+            },
+        )
 
     def _telescoped_tr(self):
         """Scalar factor sets tr(r, x) = sum of tplus(j*x, x) for 0 < j < r."""
@@ -1091,9 +1113,8 @@ def decompose(M, kind):
         if kind == "nilpotent" and not T_k.is_action_trivial():
             raise ConsistencyError("nilpotent stage produced a non-action-trivial cocycle")
         stages.append(DecompositionStage(K, T_k))
-        # transport the cocycle along phi: R ~ A_k and rebuild
-        T_r = _transport_cocycle(T_k, R, phi)
-        raw = SemidirectProduct(T_r)
+        # pull the cocycle back along phi: R ~ A_k and rebuild
+        raw = SemidirectProduct(T_k.pull_back(R, phi))
         R_next, encode, decode = raw.to_algebra()
         images = []
         for g in R_next.module.generators():
@@ -1111,35 +1132,3 @@ def decompose(M, kind):
     if not (iso.is_bijective() and is_homomorphism(R, M, iso)):
         iso = None
     return Decomposition(kind, A_prev, stages, R, iso)
-
-
-def _transport_cocycle(T, R, phi):
-    """Pull a cocycle over (A, K) back along an isomorphism phi: R -> A."""
-    K = T.I
-    action_tables = {}
-    for (f, s), table in T.action.tables.items():
-        new = {}
-        n = T.Q.op_arity(f)
-        off = tuple(i for i in range(n) if i not in s)
-        for qoff in itertools.product(mod_elements(R.module), repeat=len(off)):
-            mapped = tuple(phi(q) for q in qoff)
-            for asub in itertools.product(mod_elements(K.module), repeat=len(s)):
-                new[(qoff, asub)] = table[(mapped, asub)]
-        action_tables[(f, s)] = new
-    pulled_Q = R
-    action = Action(pulled_Q, K, action_tables)
-    tplus = {
-        (x, y): T.tplus[(phi(x), phi(y))]
-        for x in mod_elements(R.module)
-        for y in mod_elements(R.module)
-    }
-    tr = {
-        (r, x): T.tr[(r, phi(x))]
-        for r in range(R.module.modulus)
-        for x in mod_elements(R.module)
-    }
-    tf = {}
-    for f, op in R.ops.items():
-        for xs in itertools.product(mod_elements(R.module), repeat=op.arity):
-            tf[(f, xs)] = T.tf[(f, tuple(phi(x) for x in xs))]
-    return Cocycle(action, tplus, tr, tf)

@@ -26,7 +26,6 @@ from .cocycle import (
     Cocycle,
     DatumError,
     SemidirectProduct,
-    all_witness_maps,
     enumerate_actions,
     equivalent,
     matches,
@@ -442,11 +441,18 @@ def derivations(Q, I, action):
     These are the h whose lifting x -> (h(x), x) of the split table
     realizes the zero cocycle again, the stabilizing automorphisms of
     the split extension; they form a group, since the lifting changes
-    for h and g compose to the one for h + g.
+    for h and g compose to the one for h + g.  A null group factor set
+    h(x) + h(y) - h(x + y) makes h additive, so the candidates are the
+    module maps Q -> I.
     """
     zero = Cocycle.zero(Q, I, action)
     raw = SemidirectProduct(zero)
-    out = [h for h in all_witness_maps(Q, I) if matches(relift(raw, h), zero)]
+    qs = mod_elements(Q.module)
+    out = []
+    for phi in hom_enumerate(Q.module, I.module):
+        h = {x: phi(x) for x in qs}
+        if matches(relift(raw, h), zero):
+            out.append(h)
     out.sort(key=lambda h: h_key(h, Q))
     # the set must be closed under pointwise addition
     keys = {h_key(h, Q) for h in out}

@@ -169,7 +169,7 @@ class LiftResult:
     derivation: LinMap | None
 
 
-def lift_pair(pair, T, extension=None):
+def lift_pair(pair, T):
     """Pair lift (a, x) -> (alpha a, beta x) on the semidirect product,
     or the first failing linearity condition."""
     alpha, beta = pair
@@ -193,9 +193,7 @@ def lift_pair(pair, T, extension=None):
                 )
             if lhs != rhs:
                 return LiftResult(False, "C3", None)
-    E, encode, decode = (
-        extension if extension is not None else SemidirectProduct(T).extension_record()
-    )
+    E, encode, decode = SemidirectProduct(T).extension_record()
     images = []
     for g in E.M.module.generators():
         a, x = decode[g]

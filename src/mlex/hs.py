@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, MlexError
+from .errors import BudgetExceeded, ConsistencyError, MlexError
 from .modcore import mod_elements
 from .algebra import quotient, subalgebra
 from .cocycle import (
@@ -64,37 +64,31 @@ def null_submodule(A, ideal_elements, action):
 
 
 @dataclass
-class InducedAction:
-    action: Action
-    coefficients: "CoefficientEmbedding"
-
-
-@dataclass
 class CoefficientEmbedding:
     algebra: object
     embed: object          # LinMap AI -> A
     to_sub: dict           # A-element -> AI-element (on the subset)
 
 
-def _restrict_action(action, new_Q, q_map, coeff):
-    """Transport an action to new carriers: q_map sends new Q-elements to
-    old ones, coeff restricts the coefficient side."""
+def _restrict_action(action, coeff):
+    """The action read on the coefficient subalgebra coeff, on the
+    kernel side; its values must stay in that subalgebra."""
     tables = {}
     AI = coeff.algebra
     for (f, s), table in action.tables.items():
-        off = action.off_slots(f, s)
         new = {}
-        for qoff in itertools.product(mod_elements(new_Q.module), repeat=len(off)):
-            old_q = tuple(q_map[q] for q in qoff)
+        for qoff in itertools.product(
+            mod_elements(action.Q.module), repeat=len(action.off_slots(f, s))
+        ):
             for asub in itertools.product(mod_elements(AI.module), repeat=len(s)):
-                value = table[(old_q, tuple(coeff.embed(a) for a in asub))]
+                value = table[(qoff, tuple(coeff.embed(a) for a in asub))]
                 if value not in coeff.to_sub:
                     raise ConsistencyError(
                         "action does not close on the null submodule"
                     )
                 new[(qoff, asub)] = coeff.to_sub[value]
         tables[(f, s)] = new
-    return Action(new_Q, AI, tables)
+    return Action(action.Q, AI, tables)
 
 
 class HSDatum:
@@ -130,43 +124,24 @@ class HSDatum:
         self.coeff = CoefficientEmbedding(AI_alg, embed_AI, to_AI)
         self.null_set = null_set
         self.action = action
-        # induced action of Q on the null submodule
-        self.induced = self._induced_action()
-        ident_M = {m: m for m in mod_elements(M.module)}
-        self.action_M_AI = _restrict_action(action, M, ident_M, self.coeff)
-        ident_I = {b: self.iota(b) for b in mod_elements(I_alg.module)}
-        self.action_I_AI = _restrict_action(action, I_alg, ident_I, self.coeff)
+        self.action_M_AI = _restrict_action(action, self.coeff)
+        # induced action of Q on the null submodule, read at the section
+        self.induced = self.action_M_AI.pull_back(Q, section.__getitem__)
+        # representative independence: pulling the induced action back
+        # along pi gives the restricted action again.  The action is
+        # unary, so only single-slot tables can be nonzero, and a
+        # single-slot entry (qoff | a) is its own diagonal (a, ..., a):
+        # comparing whole tables decides what comparing diagonals does.
+        if self.induced.pull_back(M, pi) != self.action_M_AI:
+            raise ConsistencyError("induced action depends on coset representatives")
+        zero_ind = Cocycle.zero(Q, self.coeff.algebra, self.induced)
+        if not is_compatible(zero_ind, variety, check_datum=False):
+            raise ConsistencyError("induced action lost variety compatibility")
+        self.action_I_AI = self.action_M_AI.pull_back(I_alg, iota)
         if not self.action_I_AI.is_trivial():
             raise ConsistencyError(
                 "ideal action on the null submodule failed to vanish"
             )
-
-    def _induced_action(self):
-        lift = {x: self.section[x] for x in mod_elements(self.Q.module)}
-        induced = _restrict_action(self.action, self.Q, lift, self.coeff)
-        # representative independence: every preimage gives the same value
-        for (f, s), table in self.action.tables.items():
-            off = self.action.off_slots(f, s)
-            for qoff in itertools.product(
-                mod_elements(self.M.module), repeat=len(off)
-            ):
-                for a in mod_elements(self.coeff.algebra.module):
-                    asub = tuple(
-                        self.coeff.embed(a) for _ in range(len(s))
-                    )
-                    value = table[(qoff, asub)]
-                    projected = tuple(self.pi(q) for q in qoff)
-                    expected = self.coeff.embed(
-                        induced.tables[(f, s)][(projected, (a,) * len(s))]
-                    )
-                    if value != expected:
-                        raise ConsistencyError(
-                            "induced action depends on coset representatives"
-                        )
-        zero_ind = Cocycle.zero(self.Q, self.coeff.algebra, induced)
-        if not is_compatible(zero_ind, self.variety, check_datum=False):
-            raise ConsistencyError("induced action lost variety compatibility")
-        return induced
 
 
 def inflation_derivation(datum, d):
@@ -175,22 +150,10 @@ def inflation_derivation(datum, d):
 
 
 def inflation_cocycle(datum, S):
-    """Precompose a quotient-datum cocycle with the projection."""
-    M = datum.M
-    pi = datum.pi
-    tplus = {}
-    for m1 in mod_elements(M.module):
-        for m2 in mod_elements(M.module):
-            tplus[(m1, m2)] = S.tplus[(pi(m1), pi(m2))]
-    tr = {}
-    for r in range(M.module.modulus):
-        for m in mod_elements(M.module):
-            tr[(r, m)] = S.tr[(r, pi(m))]
-    tf = {}
-    for f, op in M.ops.items():
-        for ms in itertools.product(mod_elements(M.module), repeat=op.arity):
-            tf[(f, ms)] = S.tf[(f, tuple(pi(m) for m in ms))]
-    return Cocycle(datum.action_M_AI, tplus, tr, tf)
+    """Precompose a quotient-datum cocycle with the projection; its action
+    is the induced action pulled back along pi, which ``HSDatum`` checked
+    to be ``action_M_AI``."""
+    return S.pull_back(datum.M, datum.pi)
 
 
 def restriction_derivation(datum, d):
@@ -233,7 +196,7 @@ def square_condition_general(datum, d_I, budget=2**12):
     M, Q, I_alg, A = datum.M, datum.Q, datum.I_alg, datum.A
     count = A.module.size() ** (Q.module.size() - 1)
     if count > budget:
-        raise MlexError(f"helper search space {count} exceeds budget {budget}")
+        raise BudgetExceeded(count, budget)
     T = datum.T
     lifts = datum.section
     for h in all_witness_maps(Q, A):
@@ -275,15 +238,12 @@ def square_condition_general(datum, d_I, budget=2**12):
     return None
 
 
-def transgression(datum, d_I, T=None):
-    """Compose a boxed kernel derivation with the extension cocycle.
-
-    The two-argument form takes an explicit representative cocycle for
-    the extension; by default the datum's own extracted cocycle is used.
-    """
+def transgression(datum, d_I):
+    """Compose a boxed kernel derivation with the datum's extracted
+    extension cocycle."""
     if not square_condition(datum, d_I):
         raise MlexError("derivation does not satisfy the box condition")
-    T = T or datum.T
+    T = datum.T
     tplus = {k: d_I[v] for k, v in T.tplus.items()}
     tr = {k: d_I[v] for k, v in T.tr.items()}
     tf = {k: d_I[v] for k, v in T.tf.items()}

@@ -206,15 +206,19 @@ def hom_enumerate(source, target):
     d, so the count is the product over generators of the sizes of those
     annihilator sets.
     """
+    return list(iter_homs(source, target))
+
+
+def iter_homs(source, target):
+    """The maps of ``hom_enumerate`` one at a time, for searches that stop
+    at the first hit."""
     candidate_lists = []
     for d in source.factors:
         candidate_lists.append(
             [n for n in mod_elements(target) if target.scalar(d, n).is_zero()]
         )
-    return [
-        LinMap(source, target, images)
-        for images in itertools.product(*candidate_lists)
-    ]
+    for images in itertools.product(*candidate_lists):
+        yield LinMap(source, target, images)
 
 
 # -- integer Smith normal form -------------------------------------------------

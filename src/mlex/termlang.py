@@ -75,9 +75,6 @@ class Signature:
                 return a
         return None
 
-    def as_dict(self):
-        return dict(self.ops)
-
 
 def term_variables(t):
     """Variable names in first-occurrence order."""

@@ -29,7 +29,7 @@ from .errors import MlexError, ParseError, ValidationError
 from .modcore import ZmModule
 from .algebra import Algebra, MultilinearOp, ideal_generated
 from .termlang import Signature, Variety, parse_identity, print_term
-from .cocycle import Action, Cocycle
+from .cocycle import Action, Cocycle, _reduced_key_order
 
 
 @dataclass
@@ -392,10 +392,6 @@ def _load_section(ws, sec):
 # -- normalized serialization -----------------------------------------------------
 
 
-def _elem_str(e):
-    return "(" + ",".join(str(c) for c in e.coords) + ")"
-
-
 def save_text(ws):
     """Normalized serialization: sorted names, sorted nonzero entries."""
     lines = [f"[ring] modulus = {ws.modulus}"]
@@ -415,13 +411,13 @@ def save_text(ws):
                 parts.append(f"op {f}/{op.arity}")
             for key, value in op.canonical_items():
                 idx = ",".join(str(i + 1) for i in key)
-                parts.append(f"op {f}/{op.arity}: ({idx}) -> {_elem_str(value)}")
+                parts.append(f"op {f}/{op.arity}: ({idx}) -> {value}")
         lines.append("; ".join(parts))
     for name in sorted(ws.ideals):
         ideal = ws.ideals[name]
         aname = next(n for n in sorted(ws.algebras) if ws.algebras[n] == ideal.parent)
         gens = ",".join(
-            _elem_str(g) for g in sorted(ideal.generators, key=lambda e: e.coords)
+            str(g) for g in sorted(ideal.generators, key=lambda e: e.coords)
         )
         lines.append(f"[ideal {name}] algebra = {aname}; generators = {gens}")
     for name in sorted(ws.varieties):
@@ -444,7 +440,7 @@ def save_text(ws):
             table = act.tables[(f, s)]
             arity = act.Q.op_arity(f)
             off = act.off_slots(f, s)
-            for key in sorted(table, key=_reduced_sort):
+            for key in sorted(table, key=_reduced_key_order):
                 value = table[key]
                 if value.is_zero():
                     continue
@@ -455,10 +451,10 @@ def save_text(ws):
                 ivec = [act.I.module.zero()] * arity
                 for a, i in zip(asub, s):
                     ivec[i] = a
-                qtxt = ",".join(_elem_str(q) for q in qvec)
-                itxt = ",".join(_elem_str(a) for a in ivec)
+                qtxt = ",".join(str(q) for q in qvec)
+                itxt = ",".join(str(a) for a in ivec)
                 sname = ",".join(str(i + 1) for i in s)
-                parts.append(f"a({f},{sname}): ({qtxt}|{itxt}) -> {_elem_str(value)}")
+                parts.append(f"a({f},{sname}): ({qtxt}|{itxt}) -> {value}")
         lines.append("; ".join(parts))
     for name in sorted(ws.cocycles):
         T = ws.cocycles[name]
@@ -468,23 +464,19 @@ def save_text(ws):
             T.tplus.items(), key=lambda kv: (kv[0][0].coords, kv[0][1].coords)
         ):
             if not v.is_zero():
-                parts.append(f"Tplus: ({_elem_str(x)},{_elem_str(y)}) -> {_elem_str(v)}")
+                parts.append(f"Tplus: ({x},{y}) -> {v}")
         if not T.telescoped():
             for (r, x), v in sorted(
                 T.tr.items(), key=lambda kv: (kv[0][0], kv[0][1].coords)
             ):
                 if not v.is_zero():
-                    parts.append(f"Tr {r}: ({_elem_str(x)}) -> {_elem_str(v)}")
+                    parts.append(f"Tr {r}: ({x}) -> {v}")
         for (f, xs), v in sorted(
             T.tf.items(), key=lambda kv: (kv[0][0], tuple(x.coords for x in kv[0][1]))
         ):
             if not v.is_zero():
-                xtxt = ",".join(_elem_str(x) for x in xs)
-                parts.append(f"T{f}: ({xtxt}) -> {_elem_str(v)}")
+                xtxt = ",".join(str(x) for x in xs)
+                parts.append(f"T{f}: ({xtxt}) -> {v}")
         lines.append("; ".join(parts))
     return "\n".join(lines) + "\n"
 
-
-def _reduced_sort(key):
-    qoff, asub = key
-    return (tuple(q.coords for q in qoff), tuple(a.coords for a in asub))

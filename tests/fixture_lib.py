@@ -176,6 +176,39 @@ HS_FILE = """\
 [action act] Q = M; I = A
 """
 
+# hs_fixture_b as a workspace file: a nontrivial action with a proper null
+# submodule {(0,0),(1,0)}, on which the action and the induced action of
+# the quotient vanish.
+HS_B_FILE = """\
+[ring] modulus = 2
+[module M2] factors = 2,2
+[algebra M] module = M2; op f/2: (2,2) -> (1,0)
+[algebra A] module = M2; op f/2
+[ideal I] algebra = M; generators = (1,0)
+[action act] Q = M; I = A
+a(f,2): ((1,0),(0,0)|(0,0),(0,1)) -> (1,0)
+a(f,2): ((1,0),(0,0)|(0,0),(1,1)) -> (1,0)
+a(f,2): ((1,1),(0,0)|(0,0),(0,1)) -> (1,0)
+a(f,2): ((1,1),(0,0)|(0,0),(1,1)) -> (1,0)
+"""
+
+# The same module pair with a quotient element acting nontrivially on the
+# null submodule {(0,0),(1,0)}: the induced action of Q is nontrivial.
+HS_TWIST_FILE = """\
+[ring] modulus = 2
+[module M2] factors = 2,2
+[algebra M] module = M2; op f/2: (2,2) -> (1,0)
+[algebra A] module = M2; op f/2
+[ideal I] algebra = M; generators = (1,0)
+[action act] Q = M; I = A
+a(f,2): ((1,0),(0,0)|(0,0),(0,1)) -> (1,0)
+a(f,2): ((1,0),(0,0)|(0,0),(1,1)) -> (1,0)
+a(f,2): ((0,1),(0,0)|(0,0),(1,0)) -> (1,0)
+a(f,2): ((0,1),(0,0)|(0,0),(1,1)) -> (1,0)
+a(f,2): ((1,1),(0,0)|(0,0),(0,1)) -> (1,0)
+a(f,2): ((1,1),(0,0)|(0,0),(1,0)) -> (1,0)
+"""
+
 LEIBNIZ_FILE = """\
 [ring] modulus = 2
 [variety leibniz] signature = br/2; bracket = br; identity "[x,[y,z]] = [[x,y],z] + [y,[x,z]]"

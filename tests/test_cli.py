@@ -7,7 +7,15 @@ import pytest
 
 from mlex.cli import main
 from mlex import workspace as wsmod
-from fixture_lib import F2_FILE, HS_FILE, LEIBNIZ_FILE, ROTA_FILE, S3_FILE
+from fixture_lib import (
+    F2_FILE,
+    HS_B_FILE,
+    HS_FILE,
+    HS_TWIST_FILE,
+    LEIBNIZ_FILE,
+    ROTA_FILE,
+    S3_FILE,
+)
 
 
 @pytest.fixture
@@ -247,8 +255,14 @@ REPORT_COMMANDS = [
     ["series", "--fixture", "{f2}", "--algebra", "M", "--kind", "lower_central"],
 ]
 
-# The golden reports add check on a cocycle whose semidirect table is illegal.
-GOLDEN_COMMANDS = REPORT_COMMANDS + [["check", "--fixture", "{raw}"]]
+# The golden reports add check on a cocycle whose semidirect table is
+# illegal, and hs on two data with a nontrivial action and a proper null
+# submodule, the second also with a nontrivial induced action.
+GOLDEN_COMMANDS = REPORT_COMMANDS + [
+    ["check", "--fixture", "{raw}"],
+    ["hs", "--fixture", "{hsb}"],
+    ["hs", "--fixture", "{hstwist}"],
+]
 
 FIXTURE_FILES = {
     "f2": F2_FILE,
@@ -256,6 +270,8 @@ FIXTURE_FILES = {
     "leibniz": LEIBNIZ_FILE,
     "s3": S3_FILE,
     "raw": ILLEGAL_FILE,
+    "hsb": HS_B_FILE,
+    "hstwist": HS_TWIST_FILE,
 }
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

@@ -2,13 +2,23 @@ import itertools
 
 import pytest
 
-from mlex.errors import MlexError
+from mlex.errors import BudgetExceeded, ConsistencyError, MlexError
 from mlex.modcore import ZmModule, mod_elements
-from mlex.algebra import Algebra, MultilinearOp, ideal_generated
-from mlex.cocycle import Action, Cocycle, coboundary, equivalent, mlf_variety
+from mlex.algebra import Algebra, MultilinearOp, ideal_generated, subalgebra
+from mlex.cocycle import (
+    Action,
+    Cocycle,
+    all_witness_maps,
+    coboundary,
+    equivalent,
+    mlf_variety,
+)
 from mlex.cohomology import derivations, h2_affine, h_key
+from mlex import workspace
 from mlex.hs import (
+    CoefficientEmbedding,
     HSDatum,
+    _restrict_action,
     inflation_cocycle,
     inflation_derivation,
     null_submodule,
@@ -19,6 +29,7 @@ from mlex.hs import (
     verify_hs,
 )
 from fixture_lib import (
+    HS_TWIST_FILE,
     f2_algebra,
     hs_fixture_a,
     hs_fixture_b,
@@ -105,6 +116,28 @@ def _fill_i(n, slots, vals, module):
     return tuple(out)
 
 
+def test_induced_action_nontrivial():
+    ws = workspace.load_text(HS_TWIST_FILE)
+    M, A = ws.algebra("M"), ws.algebra("A")
+    datum = HSDatum(M, ws.ideal("I"), A, ws.action("act"), mlf_variety(sig_f()))
+    assert sorted(e.coords for e in datum.null_set) == [(0, 0), (1, 0)]
+    assert not datum.induced.is_trivial()
+    assert datum.induced.pull_back(M, datum.pi) == datum.action_M_AI
+    # coboundaries inflate to the coboundaries of h o pi, actions included
+    for h in all_witness_maps(datum.Q, datum.coeff.algebra):
+        h_up = {m: h[datum.pi(m)] for m in mod_elements(M.module)}
+        expected = coboundary(h_up, datum.action_M_AI)
+        assert inflation_cocycle(datum, coboundary(h, datum.induced)) == expected
+
+
+def test_restriction_to_a_subset_the_action_leaves():
+    # (0,1) is sent to (1,0) by the kernel generator
+    M, ideal, A, action, V = hs_fixture_b()
+    subset = {A.module.zero(), A.module.element((0, 1))}
+    with pytest.raises(ConsistencyError, match="does not close on the null submodule"):
+        _restrict_action(action, CoefficientEmbedding(*subalgebra(A, subset)))
+
+
 def test_induced_action_trivial_cases(datum_a, datum_c):
     assert datum_a.induced.is_trivial()
     assert datum_c.induced.is_trivial()
@@ -160,6 +193,15 @@ def test_square_general_form(datum_b):
     for d in ders_I:
         if square_condition(datum_b, d):
             assert square_condition_general(datum_b, d) is not None
+
+
+def test_square_general_form_budget(datum_b):
+    AI = datum_b.coeff.algebra
+    d = derivations(datum_b.I_alg, AI, datum_b.action_I_AI)[0]
+    # the helper maps Q -> A number |A|^(|Q|-1) = 4
+    with pytest.raises(BudgetExceeded) as err:
+        square_condition_general(datum_b, d, budget=3)
+    assert (err.value.needed, err.value.budget) == (4, 3)
 
 
 def test_square_derivations_form_subgroup(datum_b):
