@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, MlexError, ValidationError
-from .modcore import LinMap, mod_elements
+from .modcore import LinMap, iter_homs, mod_elements, solve_congruences
 from .algebra import (
     Algebra,
     Ideal,
@@ -884,32 +884,54 @@ def psi_isomorphism(E, T=None):
     return table
 
 
-def all_witness_maps(Q, I):
-    """All maps h: Q -> I with h(0) = 0, lexicographic in their tables."""
-    xs = [x for x in mod_elements(Q.module) if not x.is_zero()]
-    out = []
-    for images in itertools.product(mod_elements(I.module), repeat=len(xs)):
-        h = {Q.module.zero(): I.module.zero()}
-        h.update(dict(zip(xs, images)))
-        out.append(h)
-    return out
+def lifting_changes(Q, I, D):
+    """Every h: Q -> I with h(0) = 0 and h(x) + h(y) - h(x+y) = D(x, y),
+    sorted by their value tables.
+
+    One congruence solve gives a particular h0; the others differ from it
+    by the maps with null coboundary, which are the module maps Q -> I.
+    """
+    Qm, Im = Q.module, I.module
+    qs = mod_elements(Qm)
+    if any(not (D[(qs[0], x)].is_zero() and D[(x, qs[0])].is_zero()) for x in qs):
+        return []
+    xs, k = qs[1:], Im.rank
+    rows = {}  # each (row, right-hand side, modulus) once: a symmetric D repeats them
+    for x in xs:
+        for y in xs:
+            s = Qm.add(x, y)
+            coeffs = [(z == x) + (z == y) - (z == s) for z in xs]
+            for j, d in enumerate(Im.factors):
+                row = [0] * (len(xs) * k)
+                row[j::k] = coeffs
+                rows[(tuple(row), D[(x, y)].coords[j], d)] = None
+    A, b, moduli = zip(*rows) if rows else ((), (), ())
+    sol = solve_congruences(A, b, moduli, list(Im.factors) * len(xs))
+    if sol is None:
+        return []
+    p = sol.particular
+    h0 = {x: Im.element(p[(i - 1) * k:i * k]) if i else Im.zero() for i, x in enumerate(qs)}
+    out = [{x: Im.add(h0[x], phi(x)) for x in qs} for phi in iter_homs(Qm, Im)]
+    return sorted(out, key=lambda h: [h[x].coords for x in qs])
 
 
 def equivalent(T, Tp):
-    """First witness h, in ``all_witness_maps`` order, whose lifting
+    """First witness h, in the order of ``lifting_changes``, whose lifting
     x -> (h(x), x) of T's semidirect table realizes Tp, or None.
 
-    For cocycles satisfying T1-T4 this is exactly when
-    (a, x) -> (a - h(x), x) is an isomorphism of the two semidirect
-    tables.  For addition and scalars the two conditions are one identity
-    on any table; for the operations they agree because the kernel
-    operations are multilinear and both actions are additive in each slot.
-    Only T's table is built.
+    On any table that lifting realizes the group factor set T_+ plus that
+    of h, so h is a lifting change for Tp_+ - T_+.  For cocycles
+    satisfying T1-T4 this is exactly when (a, x) -> (a - h(x), x) is an
+    isomorphism of the two semidirect tables.  For addition and scalars
+    the two conditions are one identity on any table; for the operations
+    they agree because the kernel operations are multilinear and both
+    actions are additive in each slot.  Only T's table is built.
     """
     if not T.same_datum(Tp):
         raise MlexError("equivalence requires a common datum")
+    D = {k: T.I.module.sub(v, T.tplus[k]) for k, v in Tp.tplus.items()}
     raw = SemidirectProduct(T)
-    for h in all_witness_maps(T.Q, T.I):
+    for h in lifting_changes(T.Q, T.I, D):
         if matches(relift(raw, h), Tp):
             return h
     return None

@@ -20,10 +20,10 @@ from .cocycle import (
     Cocycle,
     ExtensionRecord,
     SemidirectProduct,
-    all_witness_maps,
     equivalent,
     extract_cocycle,
     is_compatible,
+    lifting_changes,
     negated,
     relift,
     substitute,
@@ -234,27 +234,15 @@ def project_pair(phi, E, check_second_lifting=False):
 def group_trivialize(T):
     """Equivalent cocycle with zero group factor set, or None.
 
-    Searches for a witness h with T_+ = h(x) + h(y) - h(x+y) and shifts
-    T by its coboundary; over affine datum the action is unchanged.
+    Takes the first witness h, in the order of ``lifting_changes``, with
+    T_+ = h(x) + h(y) - h(x+y) and shifts T by its coboundary; over affine
+    datum the action is unchanged.
     """
     Q, I = T.Q, T.I
     if T.is_group_trivial_table():
         return T, {x: I.module.zero() for x in mod_elements(Q.module)}
-    for h in all_witness_maps(Q, I):
-        ok = True
-        for x in mod_elements(Q.module):
-            for y in mod_elements(Q.module):
-                delta = I.module.sub(
-                    I.module.add(h[x], h[y]), h[Q.module.add(x, y)]
-                )
-                if delta != T.tplus[(x, y)]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return shift_by_coboundary(T, h), h
-    return None, None
+    h = next(iter(lifting_changes(Q, I, T.tplus)), None)
+    return (None, None) if h is None else (shift_by_coboundary(T, h), h)
 
 
 def shift_by_coboundary(T, h):

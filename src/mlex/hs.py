@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, ConsistencyError, MlexError
-from .modcore import mod_elements
+from .errors import ConsistencyError, MlexError
+from .modcore import ZmModule, mod_elements, solve_congruences, span_elements
 from .algebra import quotient, subalgebra
 from .cocycle import (
     Action,
@@ -24,7 +24,7 @@ from .cocycle import (
     extract_cocycle,
     is_compatible,
 )
-from .cohomology import derivations, h1, h2_affine, h_key
+from .cohomology import _witness_basis, derivations, h1, h2_affine, h_key
 
 
 def null_submodule(A, ideal_elements, action):
@@ -187,55 +187,57 @@ def square_condition(datum, d_I):
     return True
 
 
-def square_condition_general(datum, d_I, budget=2**12):
-    """Existential form of the box condition over the full coefficient
-    algebra: search for a helper map h: Q -> A realizing the printed
-    two-sum identity."""
-    from .cocycle import all_witness_maps
+def _box_residual(datum, d_I, h):
+    """Right minus left side of the printed two-sum identity at every
+    action-table cell, for a helper map h: Q -> A."""
+    T, Am = datum.T, datum.A.module
+    out = []
+    for (f, s), table in T.action.tables.items():
+        n = datum.Q.op_arity(f)
+        off = T.action.off_slots(f, s)
+        for qoff in itertools.product(mod_elements(datum.Q.module), repeat=len(off)):
+            for bsub in itertools.product(mod_elements(datum.I_alg.module), repeat=len(s)):
+                margs, coeffs = [None] * n, [None] * n
+                for q, i in zip(qoff, off):
+                    margs[i], coeffs[i] = datum.section[q], h[q]
+                for b, i in zip(bsub, s):
+                    margs[i], coeffs[i] = datum.iota(b), datum.coeff.embed(d_I[b])
+                rhs = Am.zero()
+                for i, c in enumerate(coeffs):
+                    rhs = Am.add(rhs, datum.action.value(f, (i,), tuple(margs), (c,) * n))
+                out.append(Am.sub(rhs, datum.coeff.embed(d_I[table[(qoff, bsub)]])))
+    return out
 
-    M, Q, I_alg, A = datum.M, datum.Q, datum.I_alg, datum.A
-    count = A.module.size() ** (Q.module.size() - 1)
-    if count > budget:
-        raise BudgetExceeded(count, budget)
-    T = datum.T
-    lifts = datum.section
-    for h in all_witness_maps(Q, A):
-        ok = True
-        for (f, s), table in T.action.tables.items():
-            n = Q.op_arity(f)
-            off = T.action.off_slots(f, s)
-            for qoff in itertools.product(mod_elements(Q.module), repeat=len(off)):
-                for bsub in itertools.product(
-                    mod_elements(I_alg.module), repeat=len(s)
-                ):
-                    lhs = datum.coeff.embed(d_I[table[(qoff, bsub)]])
-                    margs = [None] * n
-                    for q, i in zip(qoff, off):
-                        margs[i] = lifts[q]
-                    for b, i in zip(bsub, s):
-                        margs[i] = datum.iota(b)
-                    rhs = A.module.zero()
-                    for i in range(n):
-                        coeff = (
-                            h[qoff[off.index(i)]] if i in off else
-                            datum.coeff.embed(d_I[bsub[s.index(i)]])
-                        )
-                        rhs = A.module.add(
-                            rhs,
-                            datum.action.value(
-                                f, (i,), tuple(margs), (coeff,) * n
-                            ),
-                        )
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return h
-    return None
+
+def square_condition_general(datum, d_I):
+    """Existential form of the box condition over the full coefficient
+    algebra: the least helper map h: Q -> A, by value table, realizing
+    the printed two-sum identity, or None.  Action tables are additive in
+    the slot entry, so the residual is affine in h: its linear part is
+    read off at the indicator maps, and one congruence solve gives every
+    solution."""
+    Q, Am = datum.Q, datum.A.module
+    qs = mod_elements(Q.module)
+    base = _box_residual(datum, d_I, {x: Am.zero() for x in qs})
+    if not base:
+        return {x: Am.zero() for x in qs}
+    columns = [
+        [Am.sub(v, b) for v, b in zip(_box_residual(datum, d_I, h), base)]
+        for h in _witness_basis(Q, datum.A)
+    ]
+    k = Am.rank
+    sol = solve_congruences(
+        [[c[i].coords[j] for c in columns] for i in range(len(base)) for j in range(k)],
+        [-v.coords[j] for v in base for j in range(k)],
+        list(Am.factors) * len(base),
+        list(Am.factors) * (len(qs) - 1),
+    )
+    if sol is None:
+        return None
+    W = ZmModule(Am.modulus, Am.factors * (len(qs) - 1))
+    span = span_elements(W, [W.element(g) for g in sol.kernel])
+    least = min(W.add(W.element(sol.particular), v).coords for v in span)
+    return {x: Am.element(least[(i - 1) * k:i * k]) if i else Am.zero() for i, x in enumerate(qs)}
 
 
 def transgression(datum, d_I):

@@ -152,6 +152,39 @@ def hs_fixture_c():
     return M, ideal, A, Action.trivial(M, A), mlf_variety(sig_f(4))
 
 
+def hs_fixture_d():
+    """Z3 x Z3 with f(e2, e1) = e1 over m = 3, ideal <e1>, coefficients
+    Z3 x Z3.  A lift of q acts in the second slot as 2q, and the ideal
+    acts in the first slot by a -> b(a1 + a2)(1, 2), so the null
+    submodule is {(0,0), (1,2), (2,1)}.  For linear d the box condition
+    needs helper maps with h(q)1 + h(q)2 = -q t where d(1) = t(1, 2): a
+    coset in which the lexicographic minimum decides."""
+    Mm = ZmModule(3, (3, 3))
+    M = Algebra(Mm, {"f": MultilinearOp("f", 2, Mm, {(1, 0): Mm.element((1, 0))})})
+    ideal = ideal_generated(M, [Mm.element((1, 0))])
+    Am = ZmModule(3, (3, 3))
+    A = Algebra(Am, {"f": MultilinearOp("f", 2, Am, {})})
+    second, first = {}, {}
+    for x in mod_elements(Mm):
+        for a in mod_elements(Am):
+            second[((x,), (a,))] = Am.scalar(2 * x.coords[1], a)
+            c = x.coords[0] * (a.coords[0] + a.coords[1])
+            first[((x,), (a,))] = Am.element((c, 2 * c))
+    action = Action(M, A, {("f", (1,)): second, ("f", (0,)): first})
+    return M, ideal, A, action, mlf_variety(sig_f(3))
+
+
+def hs_fixture_unary():
+    """Z2 x Z2 with one unary operation p(e2) = e1, ideal <e1>, Z2
+    coefficients and the trivial action: no action tables at all, so the
+    box condition has no cells."""
+    Mm = ZmModule(2, (2, 2))
+    M = Algebra(Mm, {"p": MultilinearOp("p", 1, Mm, {(1,): Mm.element((1, 0))})})
+    ideal = ideal_generated(M, [Mm.element((1, 0))])
+    A = Algebra(ZmModule(2, (2,)), {"p": MultilinearOp("p", 1, ZmModule(2, (2,)), {})})
+    return M, ideal, A, Action.trivial(M, A), mlf_variety(Signature(2, (("p", 1),)))
+
+
 F2_FILE = """\
 [ring] modulus = 2
 [module M2] factors = 2,2
@@ -207,6 +240,40 @@ a(f,2): ((0,1),(0,0)|(0,0),(1,0)) -> (1,0)
 a(f,2): ((0,1),(0,0)|(0,0),(1,1)) -> (1,0)
 a(f,2): ((1,1),(0,0)|(0,0),(0,1)) -> (1,0)
 a(f,2): ((1,1),(0,0)|(0,0),(1,0)) -> (1,0)
+"""
+
+# Q = I = Z2^2 with zero operations and the trivial action.  B is the zero
+# cocycle read through the non-additive lifting change h(1,0) = (1,0), h = 0
+# elsewhere, so every map of the coset h + Hom(Q, I) is a witness of Z ~ B.
+COSET_FILE = """\
+[ring] modulus = 2
+[module V] factors = 2,2
+[algebra Q] module = V; op f/2
+[algebra I] module = V; op f/2
+[action t0] Q = Q; I = I
+[cocycle Z] action = t0
+[cocycle B] action = t0
+Tplus: ((0,1),(1,0)) -> (1,0)
+Tplus: ((1,0),(0,1)) -> (1,0)
+Tplus: ((0,1),(1,1)) -> (1,0)
+Tplus: ((1,1),(0,1)) -> (1,0)
+Tplus: ((1,0),(1,1)) -> (1,0)
+Tplus: ((1,1),(1,0)) -> (1,0)
+"""
+
+# Over Z3 with zero operations: the group factor set of C is the nonzero
+# coboundary of h(1) = 1, h(2) = 0.
+COBOUNDARY_FILE = """\
+[ring] modulus = 3
+[module Z] factors = 3
+[algebra Q] module = Z; op f/2
+[algebra I] module = Z; op f/2
+[action t0] Q = Q; I = I
+[cocycle C] action = t0
+Tplus: ((1),(1)) -> (2)
+Tplus: ((1),(2)) -> (1)
+Tplus: ((2),(1)) -> (1)
+Tplus: ((2),(2)) -> (2)
 """
 
 LEIBNIZ_FILE = """\

@@ -13,10 +13,30 @@ from mlex.cocycle import (
     Action,
     Cocycle,
     SemidirectProduct,
-    all_witness_maps,
     proper_subsets,
     substitute,
 )
+
+
+def all_witness_maps(Q, I):
+    """All maps h: Q -> I with h(0) = 0, lexicographic in their tables."""
+    xs = [x for x in mod_elements(Q.module) if not x.is_zero()]
+    out = []
+    for images in itertools.product(mod_elements(I.module), repeat=len(xs)):
+        h = {Q.module.zero(): I.module.zero()}
+        h.update(dict(zip(xs, images)))
+        out.append(h)
+    return out
+
+
+def coboundary_table(h, Q, I):
+    """The group factor set h(x) + h(y) - h(x+y) of a lifting change."""
+    qs = mod_elements(Q.module)
+    return {
+        (x, y): I.module.sub(I.module.add(h[x], h[y]), h[Q.module.add(x, y)])
+        for x in qs
+        for y in qs
+    }
 
 
 def exhaustive_legality(raw):
@@ -108,11 +128,7 @@ def coboundary_formula(h, action):
         return 1 if k % 2 == 0 else Im.modulus - 1
 
     qs = mod_elements(Q.module)
-    tplus = {
-        (x, y): Im.sub(Im.add(h[x], h[y]), h[Q.module.add(x, y)])
-        for x in qs
-        for y in qs
-    }
+    tplus = coboundary_table(h, Q, I)
     tr = {
         (r, x): Im.sub(Im.scalar(r, h[x]), h[Q.module.scalar(r, x)])
         for r in range(Q.module.modulus)
@@ -166,3 +182,44 @@ def exhaustive_is_homomorphism(A, B, phi):
             if phi(op(*args)) != B.eval_op(name, [phi(a) for a in args]):
                 return False
     return True
+
+
+def first_box_helper(datum, d_I):
+    """First helper map h: Q -> A, in ``all_witness_maps`` order, for which
+    the two-sum identity of the box condition holds at every action-table
+    cell, or None."""
+    Q, I_alg, A = datum.Q, datum.I_alg, datum.A
+    T = datum.T
+    lifts = datum.section
+    for h in all_witness_maps(Q, A):
+        ok = True
+        for (f, s), table in T.action.tables.items():
+            n = Q.op_arity(f)
+            off = T.action.off_slots(f, s)
+            for qoff in itertools.product(mod_elements(Q.module), repeat=len(off)):
+                for bsub in itertools.product(mod_elements(I_alg.module), repeat=len(s)):
+                    lhs = datum.coeff.embed(d_I[table[(qoff, bsub)]])
+                    margs = [None] * n
+                    for q, i in zip(qoff, off):
+                        margs[i] = lifts[q]
+                    for b, i in zip(bsub, s):
+                        margs[i] = datum.iota(b)
+                    rhs = A.module.zero()
+                    for i in range(n):
+                        coeff = (
+                            h[qoff[off.index(i)]] if i in off else
+                            datum.coeff.embed(d_I[bsub[s.index(i)]])
+                        )
+                        rhs = A.module.add(
+                            rhs, datum.action.value(f, (i,), tuple(margs), (coeff,) * n)
+                        )
+                    if lhs != rhs:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            return h
+    return None

@@ -8,6 +8,8 @@ import pytest
 from mlex.cli import main
 from mlex import workspace as wsmod
 from fixture_lib import (
+    COBOUNDARY_FILE,
+    COSET_FILE,
     F2_FILE,
     HS_B_FILE,
     HS_FILE,
@@ -256,12 +258,17 @@ REPORT_COMMANDS = [
 ]
 
 # The golden reports add check on a cocycle whose semidirect table is
-# illegal, and hs on two data with a nontrivial action and a proper null
-# submodule, the second also with a nontrivial induced action.
+# illegal; hs on two data with a nontrivial action and a proper null
+# submodule, the second also with a nontrivial induced action; equivalent
+# where every map of a coset is a witness, so the printed one is the
+# lexicographic minimum; and wells on a cocycle whose group factor set is
+# a nonzero coboundary.
 GOLDEN_COMMANDS = REPORT_COMMANDS + [
     ["check", "--fixture", "{raw}"],
     ["hs", "--fixture", "{hsb}"],
     ["hs", "--fixture", "{hstwist}"],
+    ["equivalent", "--fixture", "{coset}", "--left", "Z", "--right", "B"],
+    ["wells", "--fixture", "{coboundary}", "--cocycle", "C"],
 ]
 
 FIXTURE_FILES = {
@@ -272,6 +279,8 @@ FIXTURE_FILES = {
     "raw": ILLEGAL_FILE,
     "hsb": HS_B_FILE,
     "hstwist": HS_TWIST_FILE,
+    "coset": COSET_FILE,
+    "coboundary": COBOUNDARY_FILE,
 }
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

@@ -11,7 +11,6 @@ from mlex.cocycle import (
     Cocycle,
     DatumError,
     SemidirectProduct,
-    all_witness_maps,
     coboundary,
     decompose,
     enumerate_actions,
@@ -25,6 +24,7 @@ from mlex.cocycle import (
     realizes,
     realizes_raw,
 )
+from oracles import all_witness_maps
 from fixture_lib import (
     all_f1_cocycles,
     f1_datum,

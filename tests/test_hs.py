@@ -2,13 +2,12 @@ import itertools
 
 import pytest
 
-from mlex.errors import BudgetExceeded, ConsistencyError, MlexError
+from mlex.errors import ConsistencyError, MlexError
 from mlex.modcore import ZmModule, mod_elements
 from mlex.algebra import Algebra, MultilinearOp, ideal_generated, subalgebra
 from mlex.cocycle import (
     Action,
     Cocycle,
-    all_witness_maps,
     coboundary,
     equivalent,
     mlf_variety,
@@ -28,12 +27,15 @@ from mlex.hs import (
     transgression,
     verify_hs,
 )
+from oracles import all_witness_maps, first_box_helper
 from fixture_lib import (
     HS_TWIST_FILE,
     f2_algebra,
     hs_fixture_a,
     hs_fixture_b,
     hs_fixture_c,
+    hs_fixture_d,
+    hs_fixture_unary,
     sig_f,
 )
 
@@ -51,6 +53,12 @@ def datum_b():
 @pytest.fixture(scope="module")
 def datum_c():
     return HSDatum(*hs_fixture_c())
+
+
+def twist_datum():
+    ws = workspace.load_text(HS_TWIST_FILE)
+    M, A = ws.algebra("M"), ws.algebra("A")
+    return HSDatum(M, ws.ideal("I"), A, ws.action("act"), mlf_variety(sig_f()))
 
 
 def test_null_submodule_trivial_action(datum_a):
@@ -117,9 +125,8 @@ def _fill_i(n, slots, vals, module):
 
 
 def test_induced_action_nontrivial():
-    ws = workspace.load_text(HS_TWIST_FILE)
-    M, A = ws.algebra("M"), ws.algebra("A")
-    datum = HSDatum(M, ws.ideal("I"), A, ws.action("act"), mlf_variety(sig_f()))
+    datum = twist_datum()
+    M = datum.M
     assert sorted(e.coords for e in datum.null_set) == [(0, 0), (1, 0)]
     assert not datum.induced.is_trivial()
     assert datum.induced.pull_back(M, datum.pi) == datum.action_M_AI
@@ -162,8 +169,6 @@ def test_inflation_derivation(datum_b):
 def test_inflation_cocycle_and_coboundaries(datum_b):
     AI = datum_b.coeff.algebra
     # coboundaries inflate to coboundaries, witnessed by h o pi
-    from mlex.cocycle import all_witness_maps
-
     for h in all_witness_maps(datum_b.Q, AI):
         G = coboundary(h, datum_b.induced)
         G_up = inflation_cocycle(datum_b, G)
@@ -195,13 +200,17 @@ def test_square_general_form(datum_b):
             assert square_condition_general(datum_b, d) is not None
 
 
-def test_square_general_form_budget(datum_b):
-    AI = datum_b.coeff.algebra
-    d = derivations(datum_b.I_alg, AI, datum_b.action_I_AI)[0]
-    # the helper maps Q -> A number |A|^(|Q|-1) = 4
-    with pytest.raises(BudgetExceeded) as err:
-        square_condition_general(datum_b, d, budget=3)
-    assert (err.value.needed, err.value.budget) == (4, 3)
+def test_square_general_form_matches_search(datum_a, datum_b, datum_c):
+    """The solved helper map is the first one the exhaustive search finds,
+    for every map d: I -> A_I with d(0) = 0, boxed or not."""
+    outcomes = []
+    more = [HSDatum(*hs_fixture_d()), HSDatum(*hs_fixture_unary())]
+    for datum in (datum_a, datum_b, datum_c, twist_datum(), *more):
+        for d in all_witness_maps(datum.I_alg, datum.coeff.algebra):
+            h = square_condition_general(datum, d)
+            assert h == first_box_helper(datum, d)
+            outcomes.append(h is not None)
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_square_derivations_form_subgroup(datum_b):
@@ -237,8 +246,6 @@ def test_transgression_representative_independent(datum_a):
         for d in derivations(datum_a.I_alg, AI, datum_a.action_I_AI)
         if square_condition(datum_a, d)
     ]
-    from mlex.cocycle import all_witness_maps
-
     H = h2_affine(datum_a.Q, AI, datum_a.induced, datum_a.variety)
     T = datum_a.T
     for d in ders:

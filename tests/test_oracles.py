@@ -1,14 +1,20 @@
 """Lifting changes and homomorphism checks against their exhaustive oracles.
 
 ``equivalent``, ``coboundary``, ``derivations`` and ``shift_by_coboundary``
-evaluate lifting changes through the one realization routine, and
-``is_homomorphism`` checks generator tuples only.  The oracles in
-``oracles.py`` decide the same questions cell by cell or by the
-alternating-sign formula.  The data cover moduli 2, 3, 4 and 6, arities
-1 to 3 and nonzero kernel operations: a sign error is invisible mod 2.
+evaluate lifting changes through the one realization routine,
+``lifting_changes`` finds the maps with a given group factor set by one
+congruence solve, and ``is_homomorphism`` checks generator tuples only.
+The oracles in ``oracles.py`` decide the same questions cell by cell, by
+the alternating-sign formula or by listing every map.  The data cover
+moduli 2, 3, 4 and 6, arities 1 to 3 and nonzero kernel operations: a sign
+error is invisible mod 2.
 """
 
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
+
+import mlex
 
 from mlex.errors import MlexError
 from mlex.modcore import LinMap, ZmModule, mod_elements
@@ -17,16 +23,18 @@ from mlex.cocycle import (
     Action,
     Cocycle,
     SemidirectProduct,
-    all_witness_maps,
     coboundary,
     equivalent,
+    lifting_changes,
     relift,
 )
 from mlex.cohomology import derivations, h_key
-from mlex.derlie import shift_by_coboundary
+from mlex.derlie import group_trivialize, shift_by_coboundary
 
 from oracles import (
+    all_witness_maps,
     coboundary_formula,
+    coboundary_table,
     exhaustive_is_homomorphism,
     isomorphism_witness,
 )
@@ -84,6 +92,70 @@ def test_equivalent_returns_the_isomorphism_witness(data):
     T = data.draw(valid_cocycles())
     Tp = data.draw(partners(T))
     assert equivalent(T, Tp) == isomorphism_witness(T, Tp)
+
+
+# Largest number of maps Q -> I for the lifting-change cases.
+MAX_MAPS = 729
+
+
+@st.composite
+def lifting_change_data(draw):
+    """Modules Q and I small enough to list every map Q -> I, and a table
+    D: the group factor set of a drawn map, that with one cell changed, or
+    a table zero on the zero cells and arbitrary elsewhere."""
+    m = draw(st.sampled_from(sorted(PRESENTATIONS)))
+    qf, if_ = draw(
+        st.sampled_from(
+            [
+                (a, b)
+                for a in PRESENTATIONS[m]
+                for b in PRESENTATIONS[m]
+                if size(b) ** (size(a) - 1) <= MAX_MAPS
+            ]
+        )
+    )
+    Q = draw_algebra(draw, ZmModule(m, qf), 2, abelian=True)
+    I = draw_algebra(draw, ZmModule(m, if_), 2, abelian=True)
+    ins = mod_elements(I.module)
+    D = coboundary_table(draw(witness_maps(Q, I)), Q, I)
+    keys = sorted(D, key=lambda k: (k[0].coords, k[1].coords))
+    kind = draw(st.sampled_from(["coboundary", "poked", "arbitrary"]))
+    if kind == "poked":
+        D[draw(st.sampled_from(keys))] = draw(st.sampled_from(ins))
+    elif kind == "arbitrary":
+        for x, y in keys:
+            if not (x.is_zero() or y.is_zero()):
+                D[(x, y)] = draw(st.sampled_from(ins))
+    return Q, I, D
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifting_change_data())
+def test_lifting_changes_are_the_maps_with_that_group_factor_set(case):
+    Q, I, D = case
+    expected = [h for h in all_witness_maps(Q, I) if coboundary_table(h, Q, I) == D]
+    assert lifting_changes(Q, I, D) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_group_trivialize_takes_the_first_map_with_that_group_factor_set(data):
+    T = data.draw(valid_cocycles(defects=["none", "tplus"], affine=True))
+    T = data.draw(partners(T).filter(satisfies_t1_t4))
+    hits = [
+        h for h in all_witness_maps(T.Q, T.I) if coboundary_table(h, T.Q, T.I) == T.tplus
+    ]
+    T0, h = group_trivialize(T)
+    if hits:
+        assert h == hits[0]
+        assert T0 == shift_by_coboundary(T, h)
+    else:
+        assert (T0, h) == (None, None)
+
+
+def test_library_has_no_exhaustive_witness_search():
+    for path in sorted(Path(mlex.__file__).parent.glob("*.py")):
+        assert "all_witness_maps" not in path.read_text(), path.name
 
 
 @settings(max_examples=150, deadline=None)
