@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, ConsistencyError, MlexError
 from .modcore import (
     hom_enumerate,
+    homs_where,
     int_inverse,
     mod_elements,
     smith_normal_form,
@@ -292,15 +293,9 @@ class AffineH2:
         col_moduli = self._col_moduli()
         ncols = len(col_moduli)
         rows = self._constraint_rows()
-        if rows:
-            A = [list(r) for r, _ in rows]
-            row_moduli = [m for _, m in rows]
-            sol = solve_congruences(A, [0] * len(rows), row_moduli, col_moduli)
-            cocycle_gens = [g for g in sol.kernel]
-        else:
-            cocycle_gens = [
-                tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)
-            ]
+        A = [list(r) for r, _ in rows]
+        row_moduli = [m for _, m in rows]
+        cocycle_gens = solve_congruences(A, [0] * len(rows), row_moduli, col_moduli).kernel
         self._zgens = cocycle_gens
         # relations among the generators, then coboundary coordinates
         relations = []
@@ -466,16 +461,13 @@ def derivations(Q, I, action):
 
 def hom_kill_commutator(Q, I):
     """Independent description for central datum: module maps vanishing
-    on the commutator ideal of Q."""
+    on the commutator ideal of Q, by one congruence solve."""
     from .algebra import commutator, whole_ideal
 
     qq = commutator(whole_ideal(Q), whole_ideal(Q))
-    out = []
-    for phi in hom_enumerate(Q.module, I.module):
-        if all(phi(e).is_zero() for e in qq.elements):
-            out.append({x: phi(x) for x in mod_elements(Q.module)})
-    out.sort(key=lambda h: h_key(h, Q))
-    return out
+    maps = homs_where(Q.module, I.module, lambda phi: [phi(e) for e in qq.elements])
+    tables = [{x: phi(x) for x in mod_elements(Q.module)} for phi in maps]
+    return sorted(tables, key=lambda h: h_key(h, Q))
 
 
 def stab_automorphisms(E):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, MlexError
-from .modcore import LinMap, hom_enumerate, mod_elements
+from .modcore import LinMap, homs_where, mod_elements
 from .algebra import subalgebra, algebra_from_ops
 from . import termlang
 from .cocycle import (
@@ -48,27 +48,31 @@ def lin_bracket(f, g):
     return lin_sub(f.compose(g), g.compose(f))
 
 
+def _derivation_defects(M, h):
+    """h(f(args)) minus the product-rule sum, at every generator tuple of
+    every operation; linear in h because every operation is multilinear."""
+    gens = M.module.generators()
+    out = []
+    for name, op in M.ops.items():
+        for args in itertools.product(gens, repeat=op.arity):
+            d = h(M.eval_op(name, args))
+            for i in range(op.arity):
+                d = M.module.sub(d, M.eval_op(name, substitute(args, (i,), (h(args[i]),))))
+            out.append(d)
+    return out
+
+
 def is_derivation(M, h):
     """Module endomap satisfying the product rule on every operation."""
     if h.source != M.module or h.target != M.module:
         return False
-    gens = M.module.generators()
-    for name, op in M.ops.items():
-        for args in itertools.product(gens, repeat=op.arity):
-            lhs = h(M.eval_op(name, args))
-            rhs = M.module.zero()
-            for i in range(op.arity):
-                rhs = M.module.add(
-                    rhs, M.eval_op(name, substitute(args, (i,), (h(args[i]),)))
-                )
-            if lhs != rhs:
-                return False
-    return True
+    return all(d.is_zero() for d in _derivation_defects(M, h))
 
 
 def derivations_of(M):
-    """All derivations of M, enumeration order, bracket-closed."""
-    out = [h for h in hom_enumerate(M.module, M.module) if is_derivation(M, h)]
+    """All derivations of M in ``hom_enumerate`` order, bracket-closed: the
+    endomorphisms with no product-rule defect, by one congruence solve."""
+    out = homs_where(M.module, M.module, lambda h: _derivation_defects(M, h))
     keys = {d.images for d in out}
     for d1 in out:
         for d2 in out:
@@ -119,40 +123,47 @@ def check_jacobi(maps):
     return True
 
 
+def _pair_defects(alpha, beta, action):
+    """Left minus right side of the distinguished-slot rule at every
+    action-table key.  Term i in s changes only a slot entry and term i
+    outside s only a quotient entry, so the rule at (xs, avec) depends on
+    the key (qoff, asub) alone."""
+    Im = action.I.module
+    alpha_of = {a: alpha(a) for a in mod_elements(Im)}
+    beta_of = {q: beta(q) for q in mod_elements(action.Q.module)}
+    out = []
+    for f, s in action.slots():
+        table = action.tables[(f, s)]
+        for (qoff, asub), v in table.items():
+            d = alpha_of[v]
+            for p, a in enumerate(asub):
+                d = Im.sub(d, table[(qoff, substitute(asub, (p,), (alpha_of[a],)))])
+            for p, q in enumerate(qoff):
+                d = Im.sub(d, table[(substitute(qoff, (p,), (beta_of[q],)), asub)])
+            out.append(d)
+    return out
+
+
 def pair_is_compatible(alpha, beta, action):
     """Distinguished-slot derivation rule relating the two components."""
-    Q, I = action.Q, action.I
-    for f, s in action.slots():
-        n = Q.op_arity(f)
-        for xs in itertools.product(mod_elements(Q.module), repeat=n):
-            for avec in itertools.product(mod_elements(I.module), repeat=n):
-                lhs = alpha(action.value(f, s, xs, avec))
-                rhs = I.module.zero()
-                for i in range(n):
-                    rhs = I.module.add(
-                        rhs,
-                        action.value(
-                            f,
-                            s,
-                            substitute(xs, (i,), (beta(xs[i]),)),
-                            substitute(avec, (i,), (alpha(avec[i]),)),
-                        ),
-                    )
-                if lhs != rhs:
-                    return False
-    return True
+    return all(d.is_zero() for d in _pair_defects(alpha, beta, action))
 
 
 def compatible_pairs(I, Q, action):
-    """All compatible derivation pairs of the datum, bracket-closed."""
-    ders_I = derivations_of(I)
-    ders_Q = derivations_of(Q)
+    """All compatible derivation pairs of the datum, sorted by their
+    images, bracket-closed.  For each derivation beta of Q one congruence
+    solve finds the alphas with no product-rule or pair-rule defect: alpha
+    enters only slot entries, where a T4 action (``Action.validate``, run
+    on every workspace action at load) is additive; beta enters quotient
+    entries, where an action need not be."""
     pairs = [
         (a, b)
-        for a in ders_I
-        for b in ders_Q
-        if pair_is_compatible(a, b, action)
+        for b in derivations_of(Q)
+        for a in homs_where(
+            I.module, I.module, lambda a: _derivation_defects(I, a) + _pair_defects(a, b, action)
+        )
     ]
+    pairs.sort(key=lambda p: (_imgs_key(p[0].images), _imgs_key(p[1].images)))
     keyset = {(a.images, b.images) for a, b in pairs}
     for a1, b1 in pairs:
         for a2, b2 in pairs:

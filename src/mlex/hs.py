@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, MlexError
-from .modcore import ZmModule, mod_elements, solve_congruences, span_elements
+from .modcore import affine_solutions, mod_elements
 from .algebra import quotient, subalgebra
 from .cocycle import (
     Action,
@@ -24,7 +24,7 @@ from .cocycle import (
     extract_cocycle,
     is_compatible,
 )
-from .cohomology import _witness_basis, derivations, h1, h2_affine, h_key
+from .cohomology import derivations, h1, h2_affine, h_key
 
 
 def null_submodule(A, ideal_elements, action):
@@ -213,31 +213,20 @@ def square_condition_general(datum, d_I):
     """Existential form of the box condition over the full coefficient
     algebra: the least helper map h: Q -> A, by value table, realizing
     the printed two-sum identity, or None.  Action tables are additive in
-    the slot entry, so the residual is affine in h: its linear part is
-    read off at the indicator maps, and one congruence solve gives every
-    solution."""
-    Q, Am = datum.Q, datum.A.module
-    qs = mod_elements(Q.module)
-    base = _box_residual(datum, d_I, {x: Am.zero() for x in qs})
-    if not base:
-        return {x: Am.zero() for x in qs}
-    columns = [
-        [Am.sub(v, b) for v, b in zip(_box_residual(datum, d_I, h), base)]
-        for h in _witness_basis(Q, datum.A)
-    ]
+    the slot entry, so the residual is affine in the value table of h and
+    ``affine_solutions`` lists every solution, least first."""
+    Am = datum.A.module
+    qs = mod_elements(datum.Q.module)
     k = Am.rank
-    sol = solve_congruences(
-        [[c[i].coords[j] for c in columns] for i in range(len(base)) for j in range(k)],
-        [-v.coords[j] for v in base for j in range(k)],
-        list(Am.factors) * len(base),
-        list(Am.factors) * (len(qs) - 1),
-    )
-    if sol is None:
-        return None
-    W = ZmModule(Am.modulus, Am.factors * (len(qs) - 1))
-    span = span_elements(W, [W.element(g) for g in sol.kernel])
-    least = min(W.add(W.element(sol.particular), v).coords for v in span)
-    return {x: Am.element(least[(i - 1) * k:i * k]) if i else Am.zero() for i, x in enumerate(qs)}
+
+    def helper(c):
+        return {x: Am.element(c[(i - 1) * k:i * k]) if i else Am.zero() for i, x in enumerate(qs)}
+
+    if not datum.T.action.tables:
+        # no cells: every helper map qualifies, so skip listing them all
+        return helper((0,) * k * (len(qs) - 1))
+    sols = affine_solutions(Am.factors * (len(qs) - 1), lambda c: _box_residual(datum, d_I, helper(c)))
+    return helper(sols[0]) if sols else None
 
 
 def transgression(datum, d_I):

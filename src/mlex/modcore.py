@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import MlexError
 
@@ -348,10 +349,10 @@ def solve_congruences(A, b, row_moduli, col_moduli):
     n = len(col_moduli)
     if len(b) != rows or any(len(row) != n for row in A):
         raise MlexError("dimension mismatch in linear system")
-    # integer system [A | diag(e)] z = b
+    # integer system [A | diag(e)] z = b; without rows every vector solves it
     B = [list(A[i]) + [row_moduli[i] if j == i else 0 for j in range(rows)]
          for i in range(rows)]
-    U, D, V = smith_normal_form(B)
+    U, D, V = smith_normal_form(B) if rows else ([], [], [[int(i == j) for j in range(n)] for i in range(n)])
     w = [0] * (n + rows)
     ub = _mat_vec(U, list(b))
     for i in range(rows):
@@ -376,6 +377,51 @@ def solve_congruences(A, b, row_moduli, col_moduli):
             seen.add(vec)
             kernel.append(vec)
     return LinearSolution(particular, kernel)
+
+
+def affine_solutions(moduli, residual):
+    """Every coefficient vector c, entry j in Z_{moduli[j]}, at which the
+    list of Elements ``residual(c)``, affine in c, is all zero; sorted.
+
+    The linear part is read at the zero and unit vectors, and each reduced
+    (row, right-hand side, modulus) triple enters one congruence solve
+    once; a zero row with a nonzero right-hand side has no solution."""
+    n = len(moduli)
+    base = residual((0,) * n)
+    columns = [residual(tuple(int(i == j) for i in range(n))) for j in range(n)]
+    system = {}
+    for i, v in enumerate(base):
+        for k, d in enumerate(v.module.factors):
+            row = tuple((c[i].coords[k] - v.coords[k]) % d for c in columns)
+            rhs = -v.coords[k] % d
+            if any(row):
+                system[(row, rhs, d)] = None
+            elif rhs:
+                return []
+    A, b, row_moduli = zip(*system) if system else ((), (), ())
+    sol = solve_congruences(A, b, row_moduli, moduli)
+    if sol is None:
+        return []
+    W = ZmModule(lcm(*moduli), tuple(moduli))
+    span = span_elements(W, [W.element(g) for g in sol.kernel])
+    return sorted(W.add(W.element(sol.particular), v).coords for v in span)
+
+
+def homs_where(source, target, residual):
+    """Every homomorphism h: source -> target at which the list of Elements
+    ``residual(h)``, affine in h, is all zero; in ``hom_enumerate`` order.
+    Coordinate c_ij in Z_gcd(s_i, t_j) sends e_i to c_ij (t_j / gcd) f_j,
+    so every vector is a well-defined map and they sort in that order."""
+    cells = [(i, j) for i in range(source.rank) for j in range(target.rank)]
+    moduli = [gcd(source.factors[i], target.factors[j]) for i, j in cells]
+
+    def as_map(c):
+        images = [[0] * target.rank for _ in range(source.rank)]
+        for (i, j), g, x in zip(cells, moduli, c):
+            images[i][j] = x * (target.factors[j] // g)
+        return LinMap(source, target, tuple(target.element(v) for v in images))
+
+    return [as_map(c) for c in affine_solutions(moduli, lambda c: residual(as_map(c)))]
 
 
 def solve_linear(A, b, col_moduli=None):

@@ -291,3 +291,28 @@ S3_FILE = """\
 [module M3] factors = 2,2,2
 [algebra S3] module = M3; op f/2: (3,3) -> (0,1,0); op f/2: (2,2) -> (1,0,0)
 """
+
+# Z4 x Z2 over m = 4 with f(e1, e1) = (2,1) and f(e2, e1) = (2,0).  A map
+# may send e2 only to elements killed by 2, such as (2,0): its derivations
+# need that step, and they do not form a coordinate subgroup of End.
+GCD_FILE = """\
+[ring] modulus = 4
+[module W] factors = 4,2
+[algebra D] module = W; op f/2: (1,1) -> (2,1); op f/2: (2,1) -> (2,0)
+"""
+
+# Q = Z2 and I = Z2^2 with zero operations; a lift of 1 acts in the second
+# slot by the projection a -> (a1, 0).  Every map of I and of Q is a
+# derivation, but only 4 of the 16 * 2 pairs are compatible: alpha must
+# commute with the projection and beta must vanish.
+PAIR_CUT_FILE = """\
+[ring] modulus = 2
+[module Z] factors = 2
+[module V] factors = 2,2
+[algebra Q] module = Z; op f/2
+[algebra I] module = V; op f/2
+[action t] Q = Q; I = I
+a(f,2): ((1),(0)|(0,0),(1,0)) -> (1,0)
+a(f,2): ((1),(0)|(0,0),(1,1)) -> (1,0)
+[cocycle C] action = t
+"""

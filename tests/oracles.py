@@ -1,14 +1,15 @@
 """Exhaustive oracles for routines that the library decides by a shorter route.
 
 Each function checks its property by brute force, the way the library
-once did: on every element tuple, or by a hand-coded formula instead of
-the one realization routine.  The tests compare each library route with
+once did: on every element tuple, by trying every map, or by a
+hand-coded formula instead of the one realization routine.  The tests compare each library route with
 its oracle on random small data.
 """
 
 import itertools
 
-from mlex.modcore import mod_elements
+from mlex.errors import ConsistencyError
+from mlex.modcore import hom_enumerate, mod_elements
 from mlex.cocycle import (
     Action,
     Cocycle,
@@ -16,6 +17,7 @@ from mlex.cocycle import (
     proper_subsets,
     substitute,
 )
+from mlex.derlie import is_derivation, lin_bracket
 
 
 def all_witness_maps(Q, I):
@@ -223,3 +225,56 @@ def first_box_helper(datum, d_I):
         if ok:
             return h
     return None
+
+
+def exhaustive_derivations_of(M):
+    """All derivations of M: every endomorphism, in ``hom_enumerate``
+    order, tried against the product rule."""
+    out = [h for h in hom_enumerate(M.module, M.module) if is_derivation(M, h)]
+    keys = {d.images for d in out}
+    for d1 in out:
+        for d2 in out:
+            if lin_bracket(d1, d2).images not in keys:
+                raise ConsistencyError("derivations are not closed under the bracket")
+    return out
+
+
+def full_cell_pair_is_compatible(alpha, beta, action):
+    """The distinguished-slot rule on every cell of Q^n x I^n."""
+    Q, I = action.Q, action.I
+    for f, s in action.slots():
+        n = Q.op_arity(f)
+        for xs in itertools.product(mod_elements(Q.module), repeat=n):
+            for avec in itertools.product(mod_elements(I.module), repeat=n):
+                lhs = alpha(action.value(f, s, xs, avec))
+                rhs = I.module.zero()
+                for i in range(n):
+                    rhs = I.module.add(
+                        rhs,
+                        action.value(
+                            f,
+                            s,
+                            substitute(xs, (i,), (beta(xs[i]),)),
+                            substitute(avec, (i,), (alpha(avec[i]),)),
+                        ),
+                    )
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def exhaustive_compatible_pairs(I, Q, action):
+    """Every pair in Der(I) x Der(Q) tried against the full-cell rule."""
+    pairs = [
+        (a, b)
+        for a in exhaustive_derivations_of(I)
+        for b in exhaustive_derivations_of(Q)
+        if full_cell_pair_is_compatible(a, b, action)
+    ]
+    keyset = {(a.images, b.images) for a, b in pairs}
+    for a1, b1 in pairs:
+        for a2, b2 in pairs:
+            br = (lin_bracket(a1, a2).images, lin_bracket(b1, b2).images)
+            if br not in keyset:
+                raise ConsistencyError("compatible pairs not closed under the bracket")
+    return pairs

@@ -11,10 +11,12 @@ from fixture_lib import (
     COBOUNDARY_FILE,
     COSET_FILE,
     F2_FILE,
+    GCD_FILE,
     HS_B_FILE,
     HS_FILE,
     HS_TWIST_FILE,
     LEIBNIZ_FILE,
+    PAIR_CUT_FILE,
     ROTA_FILE,
     S3_FILE,
 )
@@ -261,14 +263,18 @@ REPORT_COMMANDS = [
 # illegal; hs on two data with a nontrivial action and a proper null
 # submodule, the second also with a nontrivial induced action; equivalent
 # where every map of a coset is a witness, so the printed one is the
-# lexicographic minimum; and wells on a cocycle whose group factor set is
-# a nonzero coboundary.
+# lexicographic minimum; wells on a cocycle whose group factor set is a
+# nonzero coboundary; derivations of an algebra over Z4 x Z2, whose maps
+# send the order-2 generator to multiples of 2; and wells on a datum whose
+# action leaves only some of the derivation pairs compatible.
 GOLDEN_COMMANDS = REPORT_COMMANDS + [
     ["check", "--fixture", "{raw}"],
     ["hs", "--fixture", "{hsb}"],
     ["hs", "--fixture", "{hstwist}"],
     ["equivalent", "--fixture", "{coset}", "--left", "Z", "--right", "B"],
     ["wells", "--fixture", "{coboundary}", "--cocycle", "C"],
+    ["derivations", "--fixture", "{gcd}", "--algebra", "D"],
+    ["wells", "--fixture", "{paircut}", "--cocycle", "C"],
 ]
 
 FIXTURE_FILES = {
@@ -281,6 +287,8 @@ FIXTURE_FILES = {
     "hstwist": HS_TWIST_FILE,
     "coset": COSET_FILE,
     "coboundary": COBOUNDARY_FILE,
+    "gcd": GCD_FILE,
+    "paircut": PAIR_CUT_FILE,
 }
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

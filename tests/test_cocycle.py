@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from mlex.errors import ConsistencyError, MlexError, ValidationError
 from mlex.modcore import LinMap, ZmModule, mod_elements, hom_enumerate
@@ -25,6 +26,7 @@ from mlex.cocycle import (
     realizes_raw,
 )
 from oracles import all_witness_maps
+from strategies import cocycles
 from fixture_lib import (
     all_f1_cocycles,
     f1_datum,
@@ -554,3 +556,17 @@ def test_h2_morphism_predicate(datum):
     )
     # the literal reading types here because Q = I structurally
     assert is_h2_morphism(T, T, ident, zero_h, LinMap.identity(Q.module), emend=False)
+
+
+def legal_t1_t4(T):
+    try:
+        return T.validate() and SemidirectProduct(T).is_legal()
+    except MlexError:
+        return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(cocycles(arities=(1, 2, 3), defects=["none", "tplus"]).filter(legal_t1_t4))
+def test_extract_cocycle_of_the_semidirect_product_returns_it(T):
+    E, _, _ = SemidirectProduct(T).extension_record()
+    assert extract_cocycle(E) == T

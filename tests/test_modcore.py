@@ -10,7 +10,9 @@ from mlex.modcore import (
     LinMap,
     ZmModule,
     abelian_decomposition,
+    affine_solutions,
     hom_enumerate,
+    homs_where,
     mod_elements,
     smith_normal_form,
     solve_congruences,
@@ -130,6 +132,42 @@ def test_solver_against_exhaustive_search():
         else:
             assert close_over(sol.particular, sol.kernel, cm) == brute
         checked += 1
+
+
+def test_solver_without_rows_returns_unit_vectors():
+    sol = solve_congruences([], [], [], [2])
+    assert (sol.particular, sol.kernel) == ((0,), [(1,)])
+    sol = solve_congruences([], [], [], [4, 1, 3])
+    assert sol.particular == (0, 0, 0)
+    assert sol.kernel == [(1, 0, 0), (0, 0, 1)]
+
+
+def test_affine_solutions_in_lexicographic_order():
+    Z2, Z4 = ZmModule(4, (2,)), ZmModule(4, (4,))
+
+    def residual(c):
+        # c0 + 2 c1 = 1 mod 4 (twice) and c0 + c2 = 0 mod 2
+        v = Z4.element((c[0] + 2 * c[1] - 1,))
+        return [v, v, Z2.element((c[0] + c[2],)), Z2.zero()]
+
+    assert affine_solutions([4, 2, 2], residual) == [(1, 0, 1), (3, 1, 1)]
+    assert affine_solutions([2], lambda c: [Z2.element((1,))]) == []
+    assert affine_solutions([2, 1], lambda c: []) == [(0, 0), (1, 0)]
+    assert affine_solutions([], lambda c: [Z2.zero()]) == [()]
+
+
+def test_homs_where_without_conditions_is_hom_enumerate():
+    pairs = [
+        (4, (4, 2), (2, 4)),
+        (4, (2, 4), (4,)),
+        (4, (4,), (2, 2)),
+        (6, (2, 3), (6,)),
+        (6, (6,), (2, 3)),
+        (6, (3,), (2,)),
+    ]
+    for m, s, t in pairs:
+        M, N = ZmModule(m, s), ZmModule(m, t)
+        assert homs_where(M, N, lambda h: []) == hom_enumerate(M, N)
 
 
 def test_hom_enumerate_counts():

@@ -1,22 +1,26 @@
-"""Lifting changes and homomorphism checks against their exhaustive oracles.
+"""Lifting changes, derivation spaces and homomorphism checks against
+their exhaustive oracles.
 
 ``equivalent``, ``coboundary``, ``derivations`` and ``shift_by_coboundary``
 evaluate lifting changes through the one realization routine,
-``lifting_changes`` finds the maps with a given group factor set by one
-congruence solve, and ``is_homomorphism`` checks generator tuples only.
-The oracles in ``oracles.py`` decide the same questions cell by cell, by
-the alternating-sign formula or by listing every map.  The data cover
+``lifting_changes`` finds the maps with a given group factor set and
+``derivations_of`` and ``compatible_pairs`` find their maps by one
+congruence solve, ``pair_is_compatible`` checks one cell per action-table
+key, and ``is_homomorphism`` checks generator tuples only.  The oracles in
+``oracles.py`` decide the same questions cell by cell, by the
+alternating-sign formula or by listing every map.  The data cover
 moduli 2, 3, 4 and 6, arities 1 to 3 and nonzero kernel operations: a sign
 error is invisible mod 2.
 """
 
+import ast
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 import mlex
 
-from mlex.errors import MlexError
+from mlex.errors import ConsistencyError, MlexError
 from mlex.modcore import LinMap, ZmModule, mod_elements
 from mlex.algebra import is_homomorphism
 from mlex.cocycle import (
@@ -29,13 +33,22 @@ from mlex.cocycle import (
     relift,
 )
 from mlex.cohomology import derivations, h_key
-from mlex.derlie import group_trivialize, shift_by_coboundary
+from mlex.derlie import (
+    compatible_pairs,
+    derivations_of,
+    group_trivialize,
+    pair_is_compatible,
+    shift_by_coboundary,
+)
 
 from oracles import (
     all_witness_maps,
     coboundary_formula,
     coboundary_table,
+    exhaustive_compatible_pairs,
+    exhaustive_derivations_of,
     exhaustive_is_homomorphism,
+    full_cell_pair_is_compatible,
     isomorphism_witness,
 )
 from strategies import (
@@ -224,3 +237,68 @@ def homomorphism_cases(draw):
 def test_is_homomorphism_matches_exhaustive_check(case):
     A, B, phi = case
     assert is_homomorphism(A, B, phi) == exhaustive_is_homomorphism(A, B, phi)
+
+
+@st.composite
+def algebras(draw):
+    """One operation of arity 1 to 3 on any presentation, zero or drawn."""
+    m = draw(st.sampled_from(sorted(PRESENTATIONS)))
+    module = ZmModule(m, draw(st.sampled_from(PRESENTATIONS[m])))
+    return draw_algebra(draw, module, draw(st.sampled_from(ARITIES)), draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebras())
+def test_derivations_of_matches_exhaustive_search(A):
+    assert derivations_of(A) == exhaustive_derivations_of(A)
+
+
+def satisfies_t4(action):
+    try:
+        return action.validate()
+    except MlexError:
+        return False
+
+
+def outcome(route, *args):
+    """The route's result, or the bracket-closure failure it raises."""
+    try:
+        return route(*args)
+    except ConsistencyError as e:
+        return str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cocycles(arities=ARITIES).map(lambda T: T.action).filter(satisfies_t4))
+def test_compatible_pairs_match_exhaustive_search(action):
+    Q, I = action.Q, action.I
+    assert outcome(compatible_pairs, I, Q, action) == outcome(
+        exhaustive_compatible_pairs, I, Q, action
+    )
+
+
+@st.composite
+def endomaps(draw, module):
+    """A drawn endomorphism, or r times the identity (r = 0 included)."""
+    if draw(st.booleans()):
+        return draw(linear_maps(module, module))
+    r = draw(st.integers(0, module.modulus - 1))
+    return LinMap(module, module, tuple(module.scalar(r, g) for g in module.generators()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pair_rule_on_table_keys_matches_every_cell(data):
+    action = data.draw(cocycles(arities=ARITIES).map(lambda T: T.action))
+    alpha = data.draw(endomaps(action.I.module))
+    beta = data.draw(endomaps(action.Q.module))
+    assert pair_is_compatible(alpha, beta, action) == full_cell_pair_is_compatible(
+        alpha, beta, action
+    )
+
+
+def test_derivation_spaces_do_not_list_every_map():
+    tree = ast.parse((Path(mlex.__file__).parent / "derlie.py").read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"hom_enumerate", "iter_homs"}
