@@ -23,6 +23,7 @@ from .modcore import (
 )
 from .algebra import is_homomorphism
 from . import termlang
+from .expander import ActionApp, FactorF, FactorPlus, FactorR, strict_identity
 from .cocycle import (
     Cocycle,
     DatumError,
@@ -119,6 +120,14 @@ def enumerate_h2(Q, I, V, action=None, budget=2**20):
 # -- affine second cohomology ---------------------------------------------------
 
 
+def group_law_identities(m):
+    """The laws of a Z/m-module's addition; m-fold addition, associated
+    to the left, is zero."""
+    sig = termlang.Signature(m, ())
+    laws = ["x + y = y + x", "(x + y) + z = x + (y + z)", " + ".join(["x"] * m) + " = 0"]
+    return [termlang.parse_identity(law, sig) for law in laws]
+
+
 def multilinearity_identities(signature):
     """Slotwise additivity identities for every operation symbol."""
     out = []
@@ -139,26 +148,15 @@ def multilinearity_identities(signature):
     return out
 
 
-def _strict_residual(T, identity):
-    """Evaluate both sides of the identity at kernel-zero pairs in the raw
-    semidirect product and return the first-coordinate differences."""
-    raw = SemidirectProduct(T)
-    Qm = T.Q.module
-    out = []
-    for xs in itertools.product(mod_elements(Qm), repeat=len(identity.variables)):
-        env = {v: raw.lift(x) for v, x in zip(identity.variables, xs)}
-        lhs = termlang.eval_term(raw, identity.lhs, env)
-        rhs = termlang.eval_term(raw, identity.rhs, env)
-        out.append(T.I.module.sub(lhs[0], rhs[0]))
-    return out
-
-
 class AffineH2:
     """H^2 for affine datum: an abelian group of cocycle classes."""
 
     def __init__(self, Q, I, action, variety):
         self.Q, self.I, self.action, self.variety = Q, I, action, variety
         self.cells = _factor_set_cells(Q, I)
+        self._cell_index = {cell: i for i, cell in enumerate(self.cells)}
+        k = I.module.rank
+        self._unit = [[int(i == j) for i in range(k)] for j in range(k)]
         self.invariant_factors = []
         self.reps = []
         self._solve()
@@ -181,98 +179,87 @@ class AffineH2:
     def _constraint_rows(self):
         """Linear functionals cutting out the strictly compatible cocycles.
 
-        Group laws give exact symbolic rows; operation and variety
-        identities are sampled through the raw semidirect product, which
-        is linear in the factor sets over affine datum.
+        The strict 2-cocycle identities (``expander.strict_identity``, what
+        ``mlex expand --emit strict`` prints) of the module laws, of
+        multilinearity and of the variety are taken at every quotient
+        assignment and linearized in the factor-set cells, kernel
+        coordinate j innermost; each row is reduced modulo its factor and
+        kept once.  Only factor-set summands survive at kernel entries 0:
+        ``_solve`` first checks that the zero cocycle is compatible, and a
+        legal zero-cocycle product makes a unary action T4, so additive in
+        its slot and 0 there; the kernel operations are zero.
         """
         Qm, Im = self.Q.module, self.I.module
         k = Im.rank
         ncols = len(self.cells) * k
-        cell_index = {
-            (cell[0], cell[1], cell[2]): i for i, cell in enumerate(self.cells)
-        }
-
-        def tplus_cols(x, y):
-            if x.is_zero() or y.is_zero():
-                return None
-            return cell_index[("plus", x, y)]
-
-        rows = []
-
-        def add_row(entries, modulus):
-            row = [0] * ncols
-            for col_cell, coeff, coord in entries:
-                if col_cell is not None:
-                    row[col_cell * k + coord] += coeff
-            rows.append((tuple(row), modulus))
-
-        qs = mod_elements(Qm)
-        # symmetry and the group 2-cocycle law for the addition factor set
-        for x in qs:
-            for y in qs:
-                for j in range(k):
-                    add_row(
-                        [(tplus_cols(x, y), 1, j), (tplus_cols(y, x), -1, j)],
-                        Im.factors[j],
-                    )
-        for x in qs:
-            for y in qs:
-                for z in qs:
-                    for j in range(k):
-                        add_row(
-                            [
-                                (tplus_cols(x, y), 1, j),
-                                (tplus_cols(Qm.add(x, y), z), 1, j),
-                                (tplus_cols(y, z), -1, j),
-                                (tplus_cols(x, Qm.add(y, z)), -1, j),
-                            ],
-                            Im.factors[j],
-                        )
-        # the modulus must annihilate every element
-        for x in qs:
-            for j in range(k):
-                entries = []
-                for step in range(1, Qm.modulus):
-                    entries.append((tplus_cols(Qm.scalar(step, x), x), 1, j))
-                add_row(entries, Im.factors[j])
-        # sampled residual rows: multilinearity plus the variety identities
-        sampled = multilinearity_identities(self.variety.signature) + list(
-            self.variety.identities
+        sig = self.variety.signature
+        identities = (
+            group_law_identities(Qm.modulus)
+            + multilinearity_identities(sig)
+            + list(self.variety.identities)
         )
-        basis_vectors = []
-        for idx in range(len(self.cells)):
-            for j in range(k):
-                vec = [0] * ncols
-                vec[idx * k + j] = 1
-                basis_vectors.append(tuple(vec))
-        basis_residuals = [
-            [
-                _strict_residual(self._cocycle_of(vec), ident)
-                for ident in sampled
-            ]
-            for vec in basis_vectors
-        ]
-        n_instances = [
-            len(basis_residuals[0][i]) if basis_vectors else 0
-            for i in range(len(sampled))
-        ]
-        for ident_idx in range(len(sampled)):
-            for inst in range(n_instances[ident_idx]):
-                for j in range(k):
-                    row = tuple(
-                        basis_residuals[col][ident_idx][inst].coords[j]
-                        for col in range(ncols)
-                    )
-                    rows.append((row, Im.factors[j]))
-        # deduplicate and drop trivial rows
         seen = set()
         out = []
-        for row, modulus in rows:
-            row = tuple(c % modulus for c in row)
-            if any(row) and (row, modulus) not in seen:
-                seen.add((row, modulus))
-                out.append((row, modulus))
+        for ident in identities:
+            strict = strict_identity(ident, sig, cancel=False)
+            residual = strict.lhs.add(strict.rhs.neg()).items.items()
+            for xs in itertools.product(mod_elements(Qm), repeat=len(ident.variables)):
+                env = dict(zip(ident.variables, xs))
+                rows = [[0] * ncols for _ in range(k)]
+                for atom, c in residual:
+                    for cell, mat in self._linear_terms(atom, env):
+                        for j in range(k):
+                            for i in range(k):
+                                rows[j][cell * k + i] += c * mat[j][i]
+                for row, modulus in zip(rows, Im.factors):
+                    row = tuple(v % modulus for v in row)
+                    if any(row) and (row, modulus) not in seen:
+                        seen.add((row, modulus))
+                        out.append((row, modulus))
         return out
+
+    def _linear_terms(self, atom, env):
+        """(cell index, k x k matrix) pairs: at the quotient assignment env
+        and kernel entries 0, the atom's value is the sum of matrix times
+        cell value.  Scalar factor sets telescope into group factor-set
+        cells, as ``_cocycle_of`` builds them through ``from_cells``."""
+        Q = self.Q
+        if isinstance(atom, FactorPlus):
+            x, y = (termlang.eval_term(Q, q, env) for q in (atom.q1, atom.q2))
+            return self._plus_terms(x, y)
+        if isinstance(atom, FactorR):
+            x = termlang.eval_term(Q, atom.q, env)
+            return [
+                term
+                for j in range(1, atom.r % Q.module.modulus)
+                for term in self._plus_terms(Q.module.scalar(j, x), x)
+            ]
+        if isinstance(atom, FactorF):
+            xs = tuple(termlang.eval_term(Q, q, env) for q in atom.qargs)
+            if any(x.is_zero() for x in xs):
+                return []
+            return [(self._cell_index[("op", atom.op, xs)], self._unit)]
+        if isinstance(atom, ActionApp) and len(atom.slots) == 1:
+            qvec = tuple(termlang.eval_term(Q, q, env) for q in atom.qargs)
+            # the slot map's matrix has the images of I's generators as columns
+            images = [
+                self.action.value(atom.op, atom.slots, qvec, (g,) * len(qvec)).coords
+                for g in self.I.module.generators()
+            ]
+            k = len(images)
+            return [
+                (cell, [[sum(a[j] * b[i] for a, b in zip(images, mat)) for i in range(k)]
+                        for j in range(k)])
+                for cell, mat in self._linear_terms(atom.iargs[0], env)
+            ]
+        # kernel variables and kernel operations vanish, and a unary
+        # action has no several-slot summands
+        return []
+
+    def _plus_terms(self, x, y):
+        if x.is_zero() or y.is_zero():
+            return []
+        return [(self._cell_index[("plus", x, y)], self._unit)]
 
     def _col_moduli(self):
         k = self.I.module.rank

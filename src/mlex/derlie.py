@@ -188,22 +188,11 @@ def lift_pair(pair, T):
         raise MlexError("pair lifting requires a cocycle with zero group factor set")
     if not T.is_linear():
         raise MlexError("pair lifting requires a linear cocycle")
-    Q, I = T.Q, T.I
-    for r in range(Q.module.modulus):
-        for x in mod_elements(Q.module):
-            if alpha(T.tr[(r, x)]) != T.tr[(r, beta(x))]:
-                return LiftResult(False, "C1", None)
-    for f, op in Q.ops.items():
-        n = op.arity
-        for xs in itertools.product(mod_elements(Q.module), repeat=n):
-            lhs = alpha(T.tf[(f, xs)])
-            rhs = I.module.zero()
-            for i in range(n):
-                rhs = I.module.add(
-                    rhs, T.tf[(f, substitute(xs, (i,), (beta(xs[i]),)))]
-                )
-            if lhs != rhs:
-                return LiftResult(False, "C3", None)
+    # C1 and C3 hold iff the twisted scalar and operation factor sets vanish
+    S = twist_cocycle(T, pair)
+    for clause, table in (("C1", S.tr), ("C3", S.tf)):
+        if any(not v.is_zero() for v in table.values()):
+            return LiftResult(False, clause, None)
     E, encode, decode = SemidirectProduct(T).extension_record()
     images = []
     for g in E.M.module.generators():

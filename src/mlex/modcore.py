@@ -83,16 +83,6 @@ class ZmModule:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def element_order(self, a):
-        """Additive order of ``a``."""
-        self._check(a)
-        t, y = 1, a
-        zero = self.zero()
-        while y != zero:
-            y = self.add(y, a)
-            t += 1
-        return t
-
     def _check(self, a):
         if a.module != self:
             raise MlexError(f"element {a} does not live in module {self}")

@@ -316,3 +316,28 @@ a(f,2): ((1),(0)|(0,0),(1,0)) -> (1,0)
 a(f,2): ((1),(0)|(0,0),(1,1)) -> (1,0)
 [cocycle C] action = t
 """
+
+# Q = Z4 and I = Z2^2 over m = 4 with zero operations.  An odd quotient
+# element acts in the first slot by a -> (a2, 0) and in the second by the
+# swap a -> (a2, a1).  Every multilinear operation satisfies the identity
+# of sc; its strict identity has action summands over a scalar factor set
+# (from 2*x) and over a group factor set (from -y).
+AFFINE_M4_FILE = """\
+[ring] modulus = 4
+[module C4] factors = 4
+[module V] factors = 2,2
+[algebra Q] module = C4; op f/2
+[algebra I] module = V; op f/2
+[variety sc] signature = f/2; identity "f(2*x, y) + f(x, -y) = f(x, y)"
+[action t] Q = Q; I = I
+a(f,1): ((0),(1)|(0,1),(0,0)) -> (1,0)
+a(f,1): ((0),(1)|(1,1),(0,0)) -> (1,0)
+a(f,1): ((0),(3)|(0,1),(0,0)) -> (1,0)
+a(f,1): ((0),(3)|(1,1),(0,0)) -> (1,0)
+a(f,2): ((1),(0)|(0,0),(1,0)) -> (0,1)
+a(f,2): ((1),(0)|(0,0),(0,1)) -> (1,0)
+a(f,2): ((1),(0)|(0,0),(1,1)) -> (1,1)
+a(f,2): ((3),(0)|(0,0),(1,0)) -> (0,1)
+a(f,2): ((3),(0)|(0,0),(0,1)) -> (1,0)
+a(f,2): ((3),(0)|(0,0),(1,1)) -> (1,1)
+"""

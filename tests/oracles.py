@@ -18,6 +18,8 @@ from mlex.cocycle import (
     substitute,
 )
 from mlex.derlie import is_derivation, lin_bracket
+from mlex.cohomology import multilinearity_identities
+from mlex import termlang
 
 
 def all_witness_maps(Q, I):
@@ -278,3 +280,107 @@ def exhaustive_compatible_pairs(I, Q, action):
             if br not in keyset:
                 raise ConsistencyError("compatible pairs not closed under the bracket")
     return pairs
+
+
+def _strict_residual(T, identity):
+    """Evaluate both sides of the identity at kernel-zero pairs in the raw
+    semidirect product and return the first-coordinate differences."""
+    raw = SemidirectProduct(T)
+    Qm = T.Q.module
+    out = []
+    for xs in itertools.product(mod_elements(Qm), repeat=len(identity.variables)):
+        env = {v: raw.lift(x) for v, x in zip(identity.variables, xs)}
+        lhs = termlang.eval_term(raw, identity.lhs, env)
+        rhs = termlang.eval_term(raw, identity.rhs, env)
+        out.append(T.I.module.sub(lhs[0], rhs[0]))
+    return out
+
+
+def sampled_constraint_rows(H):
+    """The congruence rows of an ``AffineH2``, group laws written by hand
+    and every other identity sampled through the raw semidirect product
+    of each basis cocycle, which is linear in the factor sets over affine
+    datum."""
+    Qm, Im = H.Q.module, H.I.module
+    k = Im.rank
+    ncols = len(H.cells) * k
+    cell_index = {(cell[0], cell[1], cell[2]): i for i, cell in enumerate(H.cells)}
+
+    def tplus_cols(x, y):
+        if x.is_zero() or y.is_zero():
+            return None
+        return cell_index[("plus", x, y)]
+
+    rows = []
+
+    def add_row(entries, modulus):
+        row = [0] * ncols
+        for col_cell, coeff, coord in entries:
+            if col_cell is not None:
+                row[col_cell * k + coord] += coeff
+        rows.append((tuple(row), modulus))
+
+    qs = mod_elements(Qm)
+    # symmetry and the group 2-cocycle law for the addition factor set
+    for x in qs:
+        for y in qs:
+            for j in range(k):
+                add_row(
+                    [(tplus_cols(x, y), 1, j), (tplus_cols(y, x), -1, j)],
+                    Im.factors[j],
+                )
+    for x in qs:
+        for y in qs:
+            for z in qs:
+                for j in range(k):
+                    add_row(
+                        [
+                            (tplus_cols(x, y), 1, j),
+                            (tplus_cols(Qm.add(x, y), z), 1, j),
+                            (tplus_cols(y, z), -1, j),
+                            (tplus_cols(x, Qm.add(y, z)), -1, j),
+                        ],
+                        Im.factors[j],
+                    )
+    # the modulus must annihilate every element
+    for x in qs:
+        for j in range(k):
+            entries = []
+            for step in range(1, Qm.modulus):
+                entries.append((tplus_cols(Qm.scalar(step, x), x), 1, j))
+            add_row(entries, Im.factors[j])
+    # sampled residual rows: multilinearity plus the variety identities
+    sampled = multilinearity_identities(H.variety.signature) + list(
+        H.variety.identities
+    )
+    basis_vectors = []
+    for idx in range(len(H.cells)):
+        for j in range(k):
+            vec = [0] * ncols
+            vec[idx * k + j] = 1
+            basis_vectors.append(tuple(vec))
+    basis_residuals = [
+        [_strict_residual(H._cocycle_of(vec), ident) for ident in sampled]
+        for vec in basis_vectors
+    ]
+    n_instances = [
+        len(basis_residuals[0][i]) if basis_vectors else 0
+        for i in range(len(sampled))
+    ]
+    for ident_idx in range(len(sampled)):
+        for inst in range(n_instances[ident_idx]):
+            for j in range(k):
+                row = tuple(
+                    basis_residuals[col][ident_idx][inst].coords[j]
+                    for col in range(ncols)
+                )
+                rows.append((row, Im.factors[j]))
+    # deduplicate and drop trivial rows
+    seen = set()
+    out = []
+    for row, modulus in rows:
+        row = tuple(c % modulus for c in row)
+        if any(row) and (row, modulus) not in seen:
+            seen.add((row, modulus))
+            out.append((row, modulus))
+    return out

@@ -8,6 +8,7 @@ import pytest
 from mlex.cli import main
 from mlex import workspace as wsmod
 from fixture_lib import (
+    AFFINE_M4_FILE,
     COBOUNDARY_FILE,
     COSET_FILE,
     F2_FILE,
@@ -265,8 +266,10 @@ REPORT_COMMANDS = [
 # where every map of a coset is a witness, so the printed one is the
 # lexicographic minimum; wells on a cocycle whose group factor set is a
 # nonzero coboundary; derivations of an algebra over Z4 x Z2, whose maps
-# send the order-2 generator to multiples of 2; and wells on a datum whose
-# action leaves only some of the derivation pairs compatible.
+# send the order-2 generator to multiples of 2; wells on a datum whose
+# action leaves only some of the derivation pairs compatible; and the
+# affine h2 over m = 4 with a nontrivial action in both slots and an
+# identity with a scalar and a negation.
 GOLDEN_COMMANDS = REPORT_COMMANDS + [
     ["check", "--fixture", "{raw}"],
     ["hs", "--fixture", "{hsb}"],
@@ -275,6 +278,7 @@ GOLDEN_COMMANDS = REPORT_COMMANDS + [
     ["wells", "--fixture", "{coboundary}", "--cocycle", "C"],
     ["derivations", "--fixture", "{gcd}", "--algebra", "D"],
     ["wells", "--fixture", "{paircut}", "--cocycle", "C"],
+    ["h2", "--datum", "{affm4}", "--variety", "sc", "--action", "t", "--affine"],
 ]
 
 FIXTURE_FILES = {
@@ -289,6 +293,7 @@ FIXTURE_FILES = {
     "coboundary": COBOUNDARY_FILE,
     "gcd": GCD_FILE,
     "paircut": PAIR_CUT_FILE,
+    "affm4": AFFINE_M4_FILE,
 }
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

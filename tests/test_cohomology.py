@@ -154,8 +154,9 @@ def test_h2_affine_sum_class_respects_equivalence(datum):
 def test_affine_residuals_are_additive(datum):
     """The strict-identity residual map underpinning the linear solver is
     additive in the factor sets over affine datum."""
-    from mlex.cohomology import _strict_residual, multilinearity_identities
+    from mlex.cohomology import multilinearity_identities
     from fixture_lib import leibniz_variety
+    from oracles import _strict_residual
 
     Q, I = datum
     action = side_action()

@@ -117,6 +117,22 @@ def test_lift_pair_obstruction():
         assert lift_pair(pair, T0).ok
 
 
+def test_lift_pair_checks_scalar_factor_sets_first():
+    """A group-trivial cocycle with a free scalar factor set: C1 fails
+    where beta moves the scalar cell, and is reported before C3."""
+    Q, I = f1_datum()
+    one = Q.module.element((1,))
+    T = Cocycle(
+        Action.trivial(Q, I), {}, {(1, one): one}, {("f", (one, one)): one}
+    )
+    ident = LinMap.identity(Q.module)
+    zero = LinMap.zero_map(Q.module, Q.module)
+    res = lift_pair((ident, zero), T)
+    assert not res.ok and res.obstruction == "C1" and res.derivation is None
+    res = lift_pair((ident, ident), T)
+    assert not res.ok and res.obstruction == "C3"
+
+
 def test_lift_pair_requires_group_trivial():
     Qp, Ip = pure_datum_m4()
     one = Qp.module.element((1,))

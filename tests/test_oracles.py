@@ -6,9 +6,12 @@ evaluate lifting changes through the one realization routine,
 ``lifting_changes`` finds the maps with a given group factor set and
 ``derivations_of`` and ``compatible_pairs`` find their maps by one
 congruence solve, ``pair_is_compatible`` checks one cell per action-table
-key, and ``is_homomorphism`` checks generator tuples only.  The oracles in
+key, ``is_homomorphism`` checks generator tuples only, and ``AffineH2``
+linearizes the strict identities of the expander.  The oracles in
 ``oracles.py`` decide the same questions cell by cell, by the
-alternating-sign formula or by listing every map.  The data cover
+alternating-sign formula, by sampling the raw semidirect product or by
+listing every map; the affine classes are also compared with the
+exhaustive ``enumerate_h2``.  The data cover
 moduli 2, 3, 4 and 6, arities 1 to 3 and nonzero kernel operations: a sign
 error is invisible mod 2.
 """
@@ -23,16 +26,26 @@ import mlex
 from mlex.errors import ConsistencyError, MlexError
 from mlex.modcore import LinMap, ZmModule, mod_elements
 from mlex.algebra import is_homomorphism
+from mlex.termlang import Signature, Variety, parse_identity
 from mlex.cocycle import (
     Action,
     Cocycle,
+    DatumError,
     SemidirectProduct,
     coboundary,
     equivalent,
+    is_compatible,
     lifting_changes,
+    mlf_variety,
     relift,
 )
-from mlex.cohomology import derivations, h_key
+from mlex.cohomology import (
+    AffineH2,
+    _factor_set_cells,
+    derivations,
+    enumerate_h2,
+    h_key,
+)
 from mlex.derlie import (
     compatible_pairs,
     derivations_of,
@@ -50,6 +63,7 @@ from oracles import (
     exhaustive_is_homomorphism,
     full_cell_pair_is_compatible,
     isomorphism_witness,
+    sampled_constraint_rows,
 )
 from strategies import (
     PRESENTATIONS,
@@ -302,3 +316,84 @@ def test_derivation_spaces_do_not_list_every_map():
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not names & {"hom_enumerate", "iter_homs"}
+
+
+def variety_shapes(arity, m):
+    """Varieties over one operation f of the arity: mlf; for f binary a
+    Leibniz identity; an identity with a scalar and a negation, which every
+    multilinear f satisfies; and for f unary f(f(x)) = 0."""
+    sig = Signature(m, (("f", arity),))
+    xs = ["x", "y", "z"][:arity]
+    doubled = ", ".join(["2*x"] + xs[1:])
+    negated = ", ".join(["-" + v if v == xs[-1] else v for v in xs])
+    texts = [f"f({doubled}) + f({negated}) = f({', '.join(xs)})"]
+    if arity == 2:
+        texts.append("f(x, f(y, z)) = f(f(x, y), z) + f(y, f(x, z))")
+    if arity == 1:
+        texts.append("f(f(x)) = 0")
+    return [mlf_variety(sig)] + [
+        Variety(f"v{i}", sig, (parse_identity(text, sig),)) for i, text in enumerate(texts)
+    ]
+
+
+def affine_h2(T, V):
+    """The affine H2 over T's datum and action, or None where the split
+    extension is not in V."""
+    try:
+        if not is_compatible(Cocycle.zero(T.Q, T.I, T.action), V):
+            return None
+    except DatumError:
+        return None
+    return AffineH2(T.Q, T.I, T.action, V)
+
+
+def affine_data(arities):
+    """Datum cocycles with a unary T4 action and zero kernel operations."""
+    return cocycles(arities=arities, defects=["none"], affine=True)
+
+
+def shapes_of(T):
+    return variety_shapes(T.Q.op_arity("f"), T.Q.module.modulus)
+
+
+# Largest number of factor-set cells for the sampled-row oracle, which
+# builds one raw product per cell and kernel coordinate.
+MAX_CELLS = 27
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        affine_data(ARITIES),
+        # a kernel of rank 2 makes the slot maps matrices, not scalars
+        affine_data((2, 3)).filter(lambda T: T.I.module.rank == 2),
+    ).filter(lambda T: len(_factor_set_cells(T.Q, T.I)) <= MAX_CELLS)
+)
+def test_affine_rows_match_sampled_rows(T):
+    for V in shapes_of(T):
+        H = affine_h2(T, V)
+        if H is not None:
+            assert H._constraint_rows() == sampled_constraint_rows(H)
+
+
+# Largest cocycle enumeration for the exhaustive H2 comparison.
+MAX_COCYCLES = 1024
+
+
+def enumeration_size(T):
+    return T.I.module.size() ** len(_factor_set_cells(T.Q, T.I))
+
+
+@settings(max_examples=30, deadline=None)
+@given(affine_data((1, 2)).filter(lambda T: enumeration_size(T) <= MAX_COCYCLES))
+def test_affine_h2_matches_exhaustive_h2(T):
+    """The affine classes are the exhaustive ones: as many, and each
+    representative equivalent to exactly one exhaustive class."""
+    for V in shapes_of(T):
+        H = affine_h2(T, V)
+        if H is None:
+            continue
+        classes = enumerate_h2(T.Q, T.I, V, action=T.action, budget=MAX_COCYCLES)
+        assert H.class_count() == len(classes)
+        for rep in H.reps:
+            assert sum(equivalent(rep, c.representative) is not None for c in classes) == 1
