@@ -15,12 +15,11 @@ from .errors import MlexError
 from .modcore import (
     Element,
     LinMap,
+    Presentation,
     ZmModule,
     abelian_decomposition,
-    int_inverse,
     iter_homs,
     mod_elements,
-    smith_normal_form,
     span_elements,
 )
 
@@ -321,25 +320,14 @@ def quotient(A, I):
             rel.append(list(e.coords))
     if not rel:
         rel = [[0] * k] if k else [[0]]
-    U, D, V = smith_normal_form(rel)
-    diag = [D[i][i] for i in range(min(len(D), k))] + [0] * max(0, k - len(D))
-    keep = [j for j in range(k) if diag[j] != 1]
-    factors = tuple(diag[j] for j in keep)
-    Qmod = ZmModule(M.modulus, factors)
-    # V^{-1} for the section; V is unimodular so the inverse is integral
-    Vinv = int_inverse(V)
+    pres = Presentation(rel, k)
+    Qmod = ZmModule(M.modulus, pres.factors)
 
     def project(e):
-        x = list(e.coords)
-        y = [sum(x[i] * V[i][j] for i in range(k)) for j in range(k)]
-        return Qmod.element(tuple(y[j] % diag[j] for j in keep))
+        return Qmod.element(pres.project(e.coords))
 
     def lift(q):
-        y = [0] * k
-        for pos, j in enumerate(keep):
-            y[j] = q.coords[pos]
-        x = [sum(y[jj] * Vinv[jj][i] for jj in range(k)) for i in range(k)]
-        return M.element(x)
+        return M.element(pres.lift(q.coords))
 
     pi = LinMap(M, Qmod, tuple(project(g) for g in M.generators()))
     ops = {}
@@ -420,8 +408,7 @@ def _invariant_factors(module):
     if not k:
         return []
     diagonal = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(module.factors)]
-    _, D, _ = smith_normal_form(diagonal)
-    return [D[i][i] for i in range(k) if D[i][i] != 1]
+    return list(Presentation(diagonal, k).factors)
 
 
 def find_isomorphism(A, B):

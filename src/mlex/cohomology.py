@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ConsistencyError, MlexError
 from .modcore import (
+    Congruences,
+    Presentation,
     hom_enumerate,
     homs_where,
-    int_inverse,
     mod_elements,
-    smith_normal_form,
     solve_congruences,
 )
 from .algebra import is_homomorphism
@@ -261,10 +261,6 @@ class AffineH2:
             return []
         return [(self._cell_index[("plus", x, y)], self._unit)]
 
-    def _col_moduli(self):
-        k = self.I.module.rank
-        return [self.I.module.factors[j] for _ in self.cells for j in range(k)]
-
     def _solve(self):
         from .cocycle import is_compatible
 
@@ -277,93 +273,56 @@ class AffineH2:
             raise MlexError(
                 f"action is not compatible with variety {self.variety.name!r}"
             )
-        col_moduli = self._col_moduli()
+        k = self.I.module.rank
+        col_moduli = [self.I.module.factors[j] for _ in self.cells for j in range(k)]
+        self._col_moduli = col_moduli
         ncols = len(col_moduli)
         rows = self._constraint_rows()
         A = [list(r) for r, _ in rows]
         row_moduli = [m for _, m in rows]
         cocycle_gens = solve_congruences(A, [0] * len(rows), row_moduli, col_moduli).kernel
         self._zgens = cocycle_gens
-        # relations among the generators, then coboundary coordinates
-        relations = []
-        if cocycle_gens:
-            gen_matrix = [
-                [g[row] for g in cocycle_gens] for row in range(ncols)
-            ]
-            hom = solve_congruences(
-                gen_matrix,
-                [0] * ncols,
-                col_moduli,
-                [self.Q.module.modulus] * len(cocycle_gens),
-            )
-            relations.extend(hom.kernel)
-            # generator order relations: m * e_i always collapses
-            m = self.Q.module.modulus
-            for i in range(len(cocycle_gens)):
-                relations.append(
-                    tuple(m if j == i else 0 for j in range(len(cocycle_gens)))
-                )
-            self._gen_matrix = gen_matrix
-        else:
-            self._gen_matrix = [[] for _ in range(ncols)]
+        p = len(cocycle_gens)
+        m = self.Q.module.modulus
+        # one factorization of the generator matrix serves the relations
+        # among the generators, every coboundary and every class_of
+        self._generators = Congruences(
+            [[g[row] for g in cocycle_gens] for row in range(ncols)], col_moduli, [m] * p
+        )
+        relations = list(self._generators.kernel)
+        # generator order relations: m * e_i always collapses
+        relations.extend(tuple(m if j == i else 0 for j in range(p)) for i in range(p))
         # over affine datum the lifting change h of the split table
         # realizes exactly the factor sets of the coboundary of h
         for h in _witness_basis(self.Q, self.I):
             tplus, _, tf, _ = relift(base, h)
-            coords = self._gen_coordinates(self._vector_of(tplus, tf))
-            if coords is None:
+            sol = self._generators.solve(self._vector_of(tplus, tf))
+            if sol is None:
                 raise ConsistencyError(
                     "coboundary outside the compatible cocycle group"
                 )
-            relations.append(coords)
-        p = len(cocycle_gens)
-        rel_rows = [list(r) for r in relations if any(r)] or [[0] * p]
+            relations.append(sol.particular)
         if p == 0:
-            self.invariant_factors = []
             self.reps = [self._cocycle_of((0,) * ncols)]
-            self._snf = None
+            self._presentation = None
             return
-        U, D, V = smith_normal_form(rel_rows)
-        diag = [D[i][i] if i < len(D) and i < len(D[i]) else 0 for i in range(p)]
+        rel_rows = [list(r) for r in relations if any(r)] or [[0] * p]
+        self._presentation = Presentation(rel_rows, p)
         # a zero diagonal entry would mean an infinite quotient; the
         # generator order relations make that impossible
-        if any(d == 0 for d in diag):
+        if 0 in self._presentation.factors:
             raise ConsistencyError("affine cohomology quotient is not finite")
-        keep = [j for j in range(p) if diag[j] != 1]
-        self._V = V
-        self._diag = diag
-        self._keep = keep
-        self.invariant_factors = [diag[j] for j in keep]
-        Vinv = int_inverse(V)
-        self.reps = []
-        for combo in itertools.product(*(range(diag[j]) for j in keep)):
-            y = [0] * p
-            for c, j in zip(combo, keep):
-                y[j] = c
-            v = [sum(y[jj] * Vinv[jj][i] for jj in range(p)) for i in range(p)]
-            vec = self._combine(v)
-            self.reps.append(self._cocycle_of(vec))
+        self.invariant_factors = list(self._presentation.factors)
+        self.reps = [
+            self._cocycle_of(self._combine(self._presentation.lift(combo)))
+            for combo in itertools.product(*(range(d) for d in self.invariant_factors))
+        ]
 
     def _combine(self, v):
-        ncols = len(self._col_moduli())
-        out = []
-        for row in range(ncols):
-            out.append(
-                sum(v[i] * self._zgens[i][row] for i in range(len(self._zgens)))
-                % self._col_moduli()[row]
-            )
-        return tuple(out)
-
-    def _gen_coordinates(self, vec):
-        if not self._zgens:
-            return None if any(vec) else ()
-        sol = solve_congruences(
-            self._gen_matrix,
-            list(vec),
-            self._col_moduli(),
-            [self.Q.module.modulus] * len(self._zgens),
+        return tuple(
+            sum(c * g[row] for c, g in zip(v, self._zgens)) % d
+            for row, d in enumerate(self._col_moduli)
         )
-        return None if sol is None else list(sol.particular)
 
     def class_count(self):
         n = 1
@@ -373,14 +332,12 @@ class AffineH2:
 
     def class_of(self, T):
         """Coordinates of [T] in the invariant-factor presentation."""
-        coords = self._gen_coordinates(self._vector_of(T.tplus, T.tf))
-        if coords is None:
+        sol = self._generators.solve(self._vector_of(T.tplus, T.tf))
+        if sol is None:
             raise MlexError("cocycle is not strictly compatible with the variety")
-        if not self._zgens:
+        if self._presentation is None:
             return ()
-        p = len(self._zgens)
-        y = [sum(coords[i] * self._V[i][j] for i in range(p)) for j in range(p)]
-        return tuple(y[j] % self._diag[j] for j in self._keep)
+        return self._presentation.project(sol.particular)
 
     def zero_class(self):
         return tuple(0 for _ in self.invariant_factors)

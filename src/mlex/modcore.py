@@ -328,45 +328,83 @@ class LinearSolution:
     kernel: list[tuple[int, ...]]
 
 
-def solve_congruences(A, b, row_moduli, col_moduli):
-    """Solve A x = b where row i is read modulo row_moduli[i] and the
-    unknown x_j lives in Z_{col_moduli[j]}.
+class Congruences:
+    """A x = b with row i read modulo row_moduli[i] and the unknown x_j in
+    Z_{col_moduli[j]}, factored once for every right-hand side: ``kernel``
+    generates the reduced solutions of A x = 0, and ``solve(b)`` returns a
+    LinearSolution or None when A x = b is inconsistent."""
 
-    Returns a LinearSolution (particular + kernel generators of the
-    reduced solution set) or None when the system is inconsistent.
-    """
-    rows = len(row_moduli)
-    n = len(col_moduli)
-    if len(b) != rows or any(len(row) != n for row in A):
-        raise MlexError("dimension mismatch in linear system")
-    # integer system [A | diag(e)] z = b; without rows every vector solves it
-    B = [list(A[i]) + [row_moduli[i] if j == i else 0 for j in range(rows)]
-         for i in range(rows)]
-    U, D, V = smith_normal_form(B) if rows else ([], [], [[int(i == j) for j in range(n)] for i in range(n)])
-    w = [0] * (n + rows)
-    ub = _mat_vec(U, list(b))
-    for i in range(rows):
-        d = D[i][i] if i < len(D) and i < len(D[i]) else 0
-        if d:
-            if ub[i] % d:
+    def __init__(self, A, row_moduli, col_moduli):
+        rows = len(row_moduli)
+        n = len(col_moduli)
+        if len(A) != rows or any(len(row) != n for row in A):
+            raise MlexError("dimension mismatch in linear system")
+        # integer system [A | diag(e)] z = b; without rows every vector solves it
+        B = [list(A[i]) + [row_moduli[i] if j == i else 0 for j in range(rows)]
+             for i in range(rows)]
+        U, D, V = smith_normal_form(B) if rows else ([], [], [[int(i == j) for j in range(n)] for i in range(n)])
+        self._U, self._V = U, V
+        self._diag = [D[i][i] for i in range(rows)]
+        self._col_moduli = list(col_moduli)
+        self.kernel = []
+        seen = set()
+        for i in range(len(V)):
+            if i < rows and self._diag[i]:
+                continue
+            vec = self._reduce([row[i] for row in V])
+            if any(vec) and vec not in seen:
+                seen.add(vec)
+                self.kernel.append(vec)
+
+    def _reduce(self, z):
+        return tuple(x % c if c else x for x, c in zip(z, self._col_moduli))
+
+    def solve(self, b):
+        if len(b) != len(self._diag):
+            raise MlexError("dimension mismatch in linear system")
+        w = [0] * len(self._V)
+        for i, (x, d) in enumerate(zip(_mat_vec(self._U, list(b)), self._diag)):
+            if d:
+                if x % d:
+                    return None
+                w[i] = x // d
+            elif x:
                 return None
-            w[i] = ub[i] // d
-        elif ub[i]:
-            return None
-    z = _mat_vec(V, w)
-    particular = tuple(z[j] % col_moduli[j] if col_moduli[j] else z[j] for j in range(n))
+        return LinearSolution(self._reduce(_mat_vec(self._V, w)), list(self.kernel))
 
-    free = [i for i in range(n + rows) if i >= rows or D[i][i] == 0]
-    kernel = []
-    seen = set()
-    for i in free:
-        vec = tuple(
-            V[j][i] % col_moduli[j] if col_moduli[j] else V[j][i] for j in range(n)
+
+def solve_congruences(A, b, row_moduli, col_moduli):
+    """The LinearSolution of one system A x = b, or None: see
+    ``Congruences``."""
+    return Congruences(A, row_moduli, col_moduli).solve(b)
+
+
+class Presentation:
+    """Z^k modulo the span of the integer vectors ``rows``, by one Smith form
+    U * rows * V = D: ``factors`` are the diagonal entries d_j other than 1,
+    ``project(x)`` gives (x V)_j mod d_j at their positions j, and
+    ``lift(c)`` gives y V^-1 where y is c at those j and 0 elsewhere."""
+
+    def __init__(self, rows, k):
+        _, D, V = smith_normal_form(rows)
+        diag = [D[i][i] if i < len(D) else 0 for i in range(k)]
+        self._keep = [j for j in range(k) if diag[j] != 1]
+        self.factors = tuple(diag[j] for j in self._keep)
+        self._k, self._V = k, V
+        # V is unimodular, so the inverse is integral
+        self._Vinv = int_inverse(V)
+
+    def project(self, x):
+        return tuple(
+            sum(a * row[j] for a, row in zip(x, self._V)) % d
+            for j, d in zip(self._keep, self.factors)
         )
-        if any(vec) and vec not in seen:
-            seen.add(vec)
-            kernel.append(vec)
-    return LinearSolution(particular, kernel)
+
+    def lift(self, c):
+        return [
+            sum(a * self._Vinv[j][i] for a, j in zip(c, self._keep))
+            for i in range(self._k)
+        ]
 
 
 def affine_solutions(moduli, residual):

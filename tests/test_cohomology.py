@@ -4,7 +4,7 @@ import pytest
 
 from mlex.errors import BudgetExceeded, MlexError
 from mlex.modcore import LinMap, ZmModule, mod_elements
-from mlex.algebra import Algebra, MultilinearOp
+from mlex.algebra import Algebra, MultilinearOp, ideal_generated, quotient
 from mlex.termlang import Signature, Variety, parse_identity
 from mlex.cocycle import (
     Action,
@@ -182,6 +182,39 @@ def test_affine_residuals_are_additive(datum):
                 r1 = _strict_residual(T1, ident)
                 r2 = _strict_residual(T2, ident)
                 assert left == [I.module.add(a, b) for a, b in zip(r1, r2)]
+
+
+def test_presentation_of_a_module_does_not_reach_the_answers():
+    """Z6 and Z2 x Z3 are one group: the affine H2 over either kernel has
+    the same invariant factors, and so has every quotient of the ring Z6
+    in either presentation (both come from a Smith form, so the factors
+    are invariant factors)."""
+    sig = Signature(6, (("f", 2),))
+
+    def zero_algebra(factors):
+        M = ZmModule(6, factors)
+        return Algebra(M, {"f": MultilinearOp("f", 2, M, {})})
+
+    for q in (2, 3):
+        Q = zero_algebra((q,))
+        factors = [
+            h2_affine(Q, I, Action.trivial(Q, I), mlf_variety(sig)).invariant_factors
+            for I in (zero_algebra((6,)), zero_algebra((2, 3)))
+        ]
+        assert factors == [[q], [q]]
+    Z6, Z23 = ZmModule(6, (6,)), ZmModule(6, (2, 3))
+    ring6 = Algebra(Z6, {"f": MultilinearOp("f", 2, Z6, {(0, 0): Z6.element((1,))})})
+    ring23 = Algebra(
+        Z23,
+        {"f": MultilinearOp("f", 2, Z23, {(0, 0): Z23.generator(0), (1, 1): Z23.generator(1)})},
+    )
+    expected = [(6,), (), (2,), (3,), (2,), ()]
+    for x, want in zip(range(6), expected):
+        got = [
+            quotient(R, ideal_generated(R, [g]))[0].module.factors
+            for R, g in ((ring6, Z6.element((x,))), (ring23, Z23.element((x, x))))
+        ]
+        assert got == [want, want], x
 
 
 def test_h2_affine_zero_kernel(datum):

@@ -1,13 +1,18 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mlex
 from mlex.errors import MlexError
+from mlex.algebra import Algebra, MultilinearOp, ideal_generated, quotient
 from mlex.modcore import (
+    Congruences,
     Element,
     LinMap,
+    Presentation,
     ZmModule,
     abelian_decomposition,
     affine_solutions,
@@ -139,6 +144,45 @@ def test_solver_without_rows_returns_unit_vectors():
     sol = solve_congruences([], [], [], [4, 1, 3])
     assert sol.particular == (0, 0, 0)
     assert sol.kernel == [(1, 0, 0), (0, 0, 1)]
+
+
+def test_factored_system_solves_as_the_one_shot_solver():
+    # x0 + 2 x1 = b0, 2 x0 + x2 = b1 and 2 x0 = b2, all mod 4: b2 odd is inconsistent
+    A, rm, cm = [[1, 2, 0], [2, 0, 1], [2, 0, 0]], [4, 4, 4], [4, 2, 4]
+    system = Congruences(A, rm, cm)
+    assert system.kernel == solve_congruences(A, [0, 0, 0], rm, cm).kernel
+    outcomes = set()
+    for b in itertools.product(range(4), repeat=3):
+        sol = system.solve(b)
+        assert sol == solve_congruences(A, list(b), rm, cm)
+        outcomes.add(sol is None)
+    assert outcomes == {True, False}
+    assert Congruences([], [], [4, 1, 3]).solve([]) == solve_congruences([], [], [], [4, 1, 3])
+    with pytest.raises(MlexError):
+        system.solve([0, 0])
+
+
+def test_presentation_projects_lifts_and_kills_its_relations():
+    # Z4 x Z2 x Z6 modulo <(2,1,3)> is Z2 x Z12, the quotient of an algebra
+    # on that module by the ideal the element generates
+    rows = [[4, 0, 0], [0, 2, 0], [0, 0, 6], [2, 1, 3]]
+    P = Presentation(rows, 3)
+    assert P.factors == (2, 12)
+    for c in itertools.product(*(range(d) for d in P.factors)):
+        assert P.project(P.lift(c)) == c
+    for row in rows:
+        assert P.project(row) == (0, 0)
+    M = ZmModule(12, (4, 2, 6))
+    A = Algebra(M, {"f": MultilinearOp("f", 2, M, {})})
+    Q, _, _ = quotient(A, ideal_generated(A, [M.element((2, 1, 3))]))
+    assert Q.module.factors == P.factors
+
+
+def test_only_modcore_names_the_smith_form():
+    for path in sorted(Path(mlex.__file__).parent.glob("*.py")):
+        if path.name != "modcore.py":
+            text = path.read_text()
+            assert "smith_normal_form" not in text and "int_inverse" not in text, path.name
 
 
 def test_affine_solutions_in_lexicographic_order():

@@ -11,21 +11,23 @@ linearizes the strict identities of the expander.  The oracles in
 ``oracles.py`` decide the same questions cell by cell, by the
 alternating-sign formula, by sampling the raw semidirect product or by
 listing every map; the affine classes are also compared with the
-exhaustive ``enumerate_h2``.  The data cover
-moduli 2, 3, 4 and 6, arities 1 to 3 and nonzero kernel operations: a sign
-error is invisible mod 2.
+exhaustive ``enumerate_h2``, and equivalence with equality of their
+``class_of``; the tower ``decompose`` builds is compared with the algebra
+by the exhaustive isomorphism search.  The data cover moduli 2, 3, 4
+and 6, arities 1 to 3 and nonzero kernel operations: a sign error is
+invisible mod 2.
 """
 
 import ast
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mlex
 
 from mlex.errors import ConsistencyError, MlexError
 from mlex.modcore import LinMap, ZmModule, mod_elements
-from mlex.algebra import is_homomorphism
+from mlex.algebra import find_isomorphism, is_homomorphism, series
 from mlex.termlang import Signature, Variety, parse_identity
 from mlex.cocycle import (
     Action,
@@ -33,6 +35,7 @@ from mlex.cocycle import (
     DatumError,
     SemidirectProduct,
     coboundary,
+    decompose,
     equivalent,
     is_compatible,
     lifting_changes,
@@ -397,3 +400,48 @@ def test_affine_h2_matches_exhaustive_h2(T):
         assert H.class_count() == len(classes)
         for rep in H.reps:
             assert sum(equivalent(rep, c.representative) is not None for c in classes) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equivalence_is_equality_of_affine_classes(data):
+    """Every compatible cocycle is a class representative read through a
+    lifting change; two of them are equivalent iff ``class_of`` gives them
+    one class."""
+    T = data.draw(affine_data((1, 2)))
+    H = affine_h2(T, data.draw(st.sampled_from(shapes_of(T))))
+    if H is None:
+        return
+
+    def compatible(reps):
+        rep = data.draw(st.sampled_from(reps))
+        tplus, tr, tf, tables = relift(SemidirectProduct(rep), data.draw(witness_maps(T.Q, T.I)))
+        return Cocycle(Action(T.Q, T.I, tables), tplus, tr, tf)
+
+    for _ in range(3):
+        T1 = compatible(H.reps)
+        # the second from T1's class about half the time
+        T2 = compatible(H.reps + [T1] * len(H.reps))
+        assert (equivalent(T1, T2) is not None) == (H.class_of(T1) == H.class_of(T2))
+
+
+# Every presentation of a module of order at most 8 over moduli 2, 3, 4, 6.
+SMALL_MODULES = [
+    (2, (2,)), (2, (2, 2)), (2, (2, 2, 2)), (3, (3,)), (4, (4,)), (4, (2, 4)),
+    (4, (4, 2)), (6, (6,)), (6, (2, 3)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decompose_rebuilds_the_algebra(data):
+    """The tower of semidirect products that ``decompose`` builds along the
+    derived or lower central series is isomorphic to the algebra."""
+    m, factors = data.draw(st.sampled_from(SMALL_MODULES))
+    A = draw_algebra(data.draw, ZmModule(m, factors), data.draw(st.sampled_from((1, 2))))
+    kind = data.draw(st.sampled_from(["solvable", "nilpotent"]))
+    series_kind = {"solvable": "derived", "nilpotent": "lower_central"}[kind]
+    assume(series(A, series_kind)[1])
+    d = decompose(A, kind)
+    assert d.verified
+    assert find_isomorphism(A, d.reconstructed) is not None
