@@ -117,6 +117,11 @@ class Algebra:
     def apply_op(self, name, args):
         return self.eval_op(name, args)
 
+    def multilinear_generators(self):
+        """Module generators: every MultilinearOp is multilinear by
+        construction."""
+        return self.module.generators()
+
     def op_arity(self, name):
         if name not in self.ops:
             raise MlexError(f"unknown operation symbol {name!r}")

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, MlexError, ValidationError
-from .modcore import LinMap, iter_homs, mod_elements, solve_congruences
+from .modcore import LinMap, greedy_generators, iter_homs, mod_elements, solve_congruences
 from .algebra import (
     Algebra,
     Ideal,
@@ -433,30 +433,6 @@ def _index_tables(module):
     return elems, index, add, scal
 
 
-def _generators(n, add):
-    """A generating set of a finite group on indices 0..n-1 with flat add
-    table ``add``, taken greedily in index order.  The identity, the only
-    idempotent, is skipped: it generates nothing."""
-    gens, span = [], set()
-    for u in range(n):
-        if u in span:
-            continue
-        if add[u * n + u] == u:
-            span.add(u)
-            continue
-        gens.append(u)
-        frontier = [u, *span]
-        span.add(u)
-        while frontier:
-            s = frontier.pop()
-            for g in gens:
-                t = add[s * n + g]
-                if t not in span:
-                    span.add(t)
-                    frontier.append(t)
-    return gens
-
-
 class SemidirectProduct:
     """The raw operation table on I x Q defined by a cocycle.
 
@@ -471,6 +447,7 @@ class SemidirectProduct:
         self.I = cocycle.I
         self.modulus = self.Q.module.modulus
         self._legal = None
+        self._gens = None
         self._add_cache = {}
         self._op_cache = {}
 
@@ -530,6 +507,12 @@ class SemidirectProduct:
 
     def op_arity(self, name):
         return self.Q.op_arity(name)
+
+    def multilinear_generators(self):
+        """The generating set that legality checked the operations on, once
+        the cached verdict is legal and ``zero()`` is the group's identity;
+        else None.  The verdict is read, not computed."""
+        return self._gens
 
     def embed_kernel(self, a):
         return (a, self.Q.module.zero())
@@ -610,7 +593,7 @@ class SemidirectProduct:
         # multilinearity of every operation in every slot
         elems = self.universe()
         eadd = [add(u, v) for u in range(ne) for v in range(ne)]
-        gens = _generators(ne, eadd)
+        gens = greedy_generators(ne, lambda u, v: eadd[u * ne + v])
         for name, op in self.Q.ops.items():
             n = op.arity
             table = [None] * ne**n
@@ -647,6 +630,8 @@ class SemidirectProduct:
                                         False,
                                         f"operation {name} not additive in slot {slot + 1}",
                                     )
+        if eadd[0] == 0:
+            self._gens = [elems[g] for g in gens]
         return True, None
 
     # -- conversion -------------------------------------------------------

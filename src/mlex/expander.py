@@ -514,14 +514,55 @@ def eval_ms(T, s, env_i, env_q):
     return eval_sum(s, T, env_i, env_q)
 
 
+def _footprint(atom):
+    """Kernel names and quotient variables that an atom reads."""
+    if isinstance(atom, AVar):
+        return {atom.name}, set()
+    kernel, qterms = set(), []
+    if isinstance(atom, IOpApp):
+        inner = atom.args
+    elif isinstance(atom, ActionApp):
+        inner, qterms = atom.iargs, atom.qargs
+    elif isinstance(atom, FactorPlus):
+        inner, qterms = (), (atom.q1, atom.q2)
+    elif isinstance(atom, FactorR):
+        inner, qterms = (), (atom.q,)
+    elif isinstance(atom, FactorF):
+        inner, qterms = (), atom.qargs
+    else:
+        raise MlexError(f"unknown atom {atom!r}")
+    quotient = {v for q in qterms for v in termlang.term_variables(q)}
+    for a in inner:
+        k, q = _footprint(a)
+        kernel |= k
+        quotient |= q
+    return kernel, quotient
+
+
 def soundness_check(t, T, signature, assignments=None):
     """First-coordinate identity: raw evaluation equals the evaluated
-    pure + action + factor-set split, for every assignment."""
+    pure + action + factor-set split, for every assignment.
+
+    The split's atoms are grouped by the kernel names and quotient
+    variables they read, and each group's sum is evaluated once per value
+    of those; the kernel is abelian, so the regrouped total is the same
+    Element."""
     from .cocycle import SemidirectProduct
 
     raw = SemidirectProduct(T)
     variables = termlang.term_variables(t)
     parts = split(t, signature, variables)
+    by_footprint = {}
+    for part in (parts.pure, parts.star, parts.delta):
+        for atom, c in part.items.items():
+            kernel, quotient = _footprint(atom)
+            key = (tuple(sorted(kernel)), tuple(sorted(quotient)))
+            by_footprint.setdefault(key, {})[atom] = c
+    # (kernel names, quotient variables, their atoms' sum, memo of its values)
+    groups = [
+        (kernel, quotient, AtomSum(signature.modulus, items), {})
+        for (kernel, quotient), items in by_footprint.items()
+    ]
     pools = assignments or itertools.product(
         raw.universe(), repeat=len(variables)
     )
@@ -530,13 +571,13 @@ def soundness_check(t, T, signature, assignments=None):
         env_i = {parts.names[v]: env_pairs[v][0] for v in variables}
         env_q = {v: env_pairs[v][1] for v in variables}
         direct = termlang.eval_term(raw, t, env_pairs)
-        total = T.I.module.add(
-            eval_sum(parts.pure, T, env_i, env_q),
-            T.I.module.add(
-                eval_sum(parts.star, T, env_i, env_q),
-                eval_sum(parts.delta, T, env_i, env_q),
-            ),
-        )
+        total = T.I.module.zero()
+        for kernel, quotient, group, memo in groups:
+            key = (tuple(env_i[k] for k in kernel), tuple(env_q[q] for q in quotient))
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = eval_sum(group, T, env_i, env_q)
+            total = T.I.module.add(total, value)
         if direct[0] != total:
             return False, env_pairs
         if direct[1] != termlang.eval_term(T.Q, parts.qterm, env_q):

@@ -215,48 +215,45 @@ def iter_homs(source, target):
 # -- integer Smith normal form -------------------------------------------------
 
 
-def _swap_rows(M, i, j):
-    M[i], M[j] = M[j], M[i]
-
-
-def _swap_cols(M, i, j):
-    for row in M:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(M, dst, src, k):
-    M[dst] = [a + k * b for a, b in zip(M[dst], M[src])]
-
-
-def _add_col(M, dst, src, k):
-    for row in M:
-        row[dst] += k * row[src]
-
-
-def _negate_row(M, i):
-    M[i] = [-a for a in M[i]]
+def _add_row(M, dst, src, k, start=0):
+    row, other = M[dst], M[src]
+    for j in range(start, len(row)):
+        row[j] += k * other[j]
 
 
 def smith_normal_form(A):
     """Return (U, D, V) with U*A*V = D over the integers.
 
     U and V are unimodular; D is diagonal with nonnegative entries and
-    D[i][i] divides D[i+1][i+1].
+    D[i][i] divides D[i+1][i+1].  The pivot at step t is the first entry
+    of least absolute value in row-major order among rows and columns
+    >= t; rows and columns < t of D are zero there, so operations on D
+    start at t.  Column operations on V run as row operations on its
+    transpose.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
     D = [list(map(int, row)) for row in A]
     U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    VT = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def pivot_search(t):
         best = None
         for i in range(t, rows):
+            row = D[i]
             for j in range(t, cols):
-                v = abs(D[i][j])
+                v = abs(row[j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+                    if v == 1:
+                        return best
         return best
+
+    def swap_cols(t, j):
+        for i in range(t, rows):
+            row = D[i]
+            row[t], row[j] = row[j], row[t]
+        VT[t], VT[j] = VT[j], VT[t]
 
     t = 0
     while t < min(rows, cols):
@@ -264,44 +261,55 @@ def smith_normal_form(A):
         if found is None:
             break
         _, pi, pj = found
-        _swap_rows(D, t, pi), _swap_rows(U, t, pi)
-        _swap_cols(D, t, pj), _swap_cols(V, t, pj)
+        D[t], D[pi] = D[pi], D[t]
+        U[t], U[pi] = U[pi], U[t]
+        swap_cols(t, pj)
         while True:
             # clear column t below the pivot
             dirty = False
             for i in range(t + 1, rows):
                 if D[i][t]:
                     q = D[i][t] // D[t][t]
-                    _add_row(D, i, t, -q), _add_row(U, i, t, -q)
+                    if q:
+                        _add_row(D, i, t, -q, t), _add_row(U, i, t, -q)
                     if D[i][t]:
-                        _swap_rows(D, t, i), _swap_rows(U, t, i)
+                        D[t], D[i] = D[i], D[t]
+                        U[t], U[i] = U[i], U[t]
                         dirty = True
             if dirty:
                 continue
+            pivot_row = D[t]
             for j in range(t + 1, cols):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    _add_col(D, j, t, -q), _add_col(V, j, t, -q)
-                    if D[t][j]:
-                        _swap_cols(D, t, j), _swap_cols(V, t, j)
+                if pivot_row[j]:
+                    q = pivot_row[j] // pivot_row[t]
+                    if q:
+                        for i in range(t, rows):
+                            row = D[i]
+                            row[j] -= q * row[t]
+                        _add_row(VT, j, t, -q)
+                    if pivot_row[j]:
+                        swap_cols(t, j)
                         dirty = True
             if dirty:
                 continue
-            # pivot must divide every remaining entry for the divisor chain
+            # pivot must divide every remaining entry for the divisor chain;
+            # a unit pivot divides everything
+            p = D[t][t]
+            if p in (1, -1):
+                break
             offender = None
             for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if D[i][j] % D[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
+                if any(v % p for v in D[i][t + 1:]):
+                    offender = i
                     break
             if offender is None:
                 break
-            _add_row(D, t, offender, 1), _add_row(U, t, offender, 1)
+            _add_row(D, t, offender, 1, t), _add_row(U, t, offender, 1)
         if D[t][t] < 0:
-            _negate_row(D, t), _negate_row(U, t)
+            D[t] = [-a for a in D[t]]
+            U[t] = [-a for a in U[t]]
         t += 1
+    V = [list(col) for col in zip(*VT)] if cols else []
     return U, D, V
 
 
@@ -460,6 +468,30 @@ def solve_linear(A, b, col_moduli=None):
         ncols = len(A[0]) if A else 0
         col_moduli = [b.module.modulus] * ncols
     return solve_congruences(A, list(b.coords), row_moduli, list(col_moduli))
+
+
+def greedy_generators(n, plus):
+    """A generating set of a finite group on indices 0..n-1 whose sum of u
+    and v is ``plus(u, v)``, taken greedily in index order.  The identity,
+    the only idempotent, is skipped: it generates nothing."""
+    gens, span = [], set()
+    for u in range(n):
+        if u in span:
+            continue
+        if plus(u, u) == u:
+            span.add(u)
+            continue
+        gens.append(u)
+        frontier = [u, *span]
+        span.add(u)
+        while frontier:
+            s = frontier.pop()
+            for g in gens:
+                t = plus(s, g)
+                if t not in span:
+                    span.add(t)
+                    frontier.append(t)
+    return gens
 
 
 def span_elements(module, gens):

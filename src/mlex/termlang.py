@@ -9,8 +9,10 @@ The grammar (also documented in the README):
           | '[' term ',' term ']' | '(' term ')' | '-' atom
 
 ``[u, v]`` is sugar for a designated binary operation of the signature.
-Satisfaction over finite carriers is exhaustive; counterexamples are the
-lexicographically first failing assignment.
+``holds`` checks a multilinear identity (every monomial holds each
+variable once) on generator tuples when the carrier's operations are
+known to be multilinear, and every other identity on every assignment;
+counterexamples are the lexicographically first failing assignment.
 """
 
 from __future__ import annotations
@@ -302,9 +304,7 @@ def eval_term(carrier, t, env):
     raise MlexError(f"unknown term node {t!r}")
 
 
-def counterexample(carrier, identity):
-    """First assignment violating the identity, or None if it holds."""
-    elems = carrier.universe()
+def _first_failure(carrier, identity, elems):
     for values in itertools.product(elems, repeat=len(identity.variables)):
         env = dict(zip(identity.variables, values))
         if eval_term(carrier, identity.lhs, env) != eval_term(carrier, identity.rhs, env):
@@ -312,8 +312,63 @@ def counterexample(carrier, identity):
     return None
 
 
+def counterexample(carrier, identity):
+    """First assignment violating the identity, or None if it holds."""
+    return _first_failure(carrier, identity, carrier.universe())
+
+
+def _degree(t):
+    """Variable degrees shared by every monomial of t: a dict name ->
+    degree; None when t is zero under multilinear operations, which fits
+    any degree; False when monomials differ."""
+    if isinstance(t, Var):
+        return {t.name: 1}
+    if isinstance(t, Zero):
+        return None
+    if isinstance(t, (Neg, Scalar)):
+        return _degree(t.arg)
+    if isinstance(t, Plus):
+        left, right = _degree(t.left), _degree(t.right)
+        if left is None or right is None:
+            return right if left is None else left
+        return left if left == right else False
+    if isinstance(t, Apply):
+        degrees = [_degree(a) for a in t.args]
+        if None in degrees:
+            return None
+        if False in degrees:
+            return False
+        total = {}
+        for d in degrees:
+            for name, k in d.items():
+                total[name] = total.get(name, 0) + k
+        return total
+    raise MlexError(f"unknown term node {t!r}")
+
+
+def is_multilinear(identity):
+    """Is each side zero or of degree one in every variable of the identity?
+    Then both sides are additive in each variable on a carrier whose
+    operations are multilinear."""
+    target = {v: 1 for v in identity.variables}
+    return all(
+        d is None or d == target for d in (_degree(identity.lhs), _degree(identity.rhs))
+    )
+
+
 def holds(carrier, identity):
-    return counterexample(carrier, identity) is None
+    """Does the identity hold at every assignment?
+
+    A multilinear difference of two sides is zero everywhere iff it is zero
+    on tuples of a generating set, so a multilinear identity is checked on
+    ``carrier.multilinear_generators()`` when the carrier knows its
+    operations to be multilinear (an ``Algebra``, or a semidirect table
+    found legal); every other identity and carrier is checked exhaustively.
+    """
+    gens = carrier.multilinear_generators() if is_multilinear(identity) else None
+    if gens is None:
+        return counterexample(carrier, identity) is None
+    return _first_failure(carrier, identity, gens) is None
 
 
 def in_variety(carrier, variety):

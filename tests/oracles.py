@@ -9,7 +9,7 @@ its oracle on random small data.
 import itertools
 
 from mlex.errors import ConsistencyError
-from mlex.modcore import hom_enumerate, mod_elements
+from mlex.modcore import LinMap, hom_enumerate, mod_elements
 from mlex.cocycle import (
     Action,
     Cocycle,
@@ -17,8 +17,9 @@ from mlex.cocycle import (
     proper_subsets,
     substitute,
 )
-from mlex.derlie import is_derivation, lin_bracket
+from mlex.derlie import is_derivation, lin_add, lin_bracket
 from mlex.cohomology import multilinearity_identities
+from mlex.expander import eval_sum, split
 from mlex import termlang
 
 
@@ -241,6 +242,40 @@ def exhaustive_derivations_of(M):
     return out
 
 
+def exhaustive_check_jacobi(maps):
+    """Bracket closure and the Jacobi identity, exhaustively on a list of
+    maps.
+
+    Brackets and sums are tabulated on indices first so the cubic sweep
+    is pure lookups."""
+    index = {m.images: i for i, m in enumerate(maps)}
+    n = len(maps)
+    bracket = [[None] * n for _ in range(n)]
+    for i, a in enumerate(maps):
+        for j, b in enumerate(maps):
+            key = lin_bracket(a, b).images
+            if key not in index:
+                return False
+            bracket[i][j] = index[key]
+    add = [[None] * n for _ in range(n)]
+    for i, a in enumerate(maps):
+        for j, b in enumerate(maps):
+            key = lin_add(a, b).images
+            if key not in index:
+                return False
+            add[i][j] = index[key]
+    zero = index.get(LinMap.zero_map(maps[0].source, maps[0].target).images)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                first = bracket[i][bracket[j][k]]
+                second = bracket[j][bracket[k][i]]
+                third = bracket[k][bracket[i][j]]
+                if add[add[first][second]][third] != zero:
+                    return False
+    return True
+
+
 def full_cell_pair_is_compatible(alpha, beta, action):
     """The distinguished-slot rule on every cell of Q^n x I^n."""
     Q, I = action.Q, action.I
@@ -384,3 +419,117 @@ def sampled_constraint_rows(H):
             seen.add((row, modulus))
             out.append((row, modulus))
     return out
+
+
+def _swap_rows(M, i, j):
+    M[i], M[j] = M[j], M[i]
+
+
+def _swap_cols(M, i, j):
+    for row in M:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row(M, dst, src, k):
+    M[dst] = [a + k * b for a, b in zip(M[dst], M[src])]
+
+
+def _add_col(M, dst, src, k):
+    for row in M:
+        row[dst] += k * row[src]
+
+
+def _negate_row(M, i):
+    M[i] = [-a for a in M[i]]
+
+
+def reference_smith_normal_form(A):
+    """(U, D, V) with U*A*V = D, as ``modcore.smith_normal_form`` once
+    computed it: full-matrix pivot search and row and column operations
+    on whole rows and columns, with a divisibility scan at every pivot."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    D = [list(map(int, row)) for row in A]
+    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def pivot_search(t):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = abs(D[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        return best
+
+    t = 0
+    while t < min(rows, cols):
+        found = pivot_search(t)
+        if found is None:
+            break
+        _, pi, pj = found
+        _swap_rows(D, t, pi), _swap_rows(U, t, pi)
+        _swap_cols(D, t, pj), _swap_cols(V, t, pj)
+        while True:
+            # clear column t below the pivot
+            dirty = False
+            for i in range(t + 1, rows):
+                if D[i][t]:
+                    q = D[i][t] // D[t][t]
+                    _add_row(D, i, t, -q), _add_row(U, i, t, -q)
+                    if D[i][t]:
+                        _swap_rows(D, t, i), _swap_rows(U, t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if D[t][j]:
+                    q = D[t][j] // D[t][t]
+                    _add_col(D, j, t, -q), _add_col(V, j, t, -q)
+                    if D[t][j]:
+                        _swap_cols(D, t, j), _swap_cols(V, t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide every remaining entry for the divisor chain
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if D[i][j] % D[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            _add_row(D, t, offender, 1), _add_row(U, t, offender, 1)
+        if D[t][t] < 0:
+            _negate_row(D, t), _negate_row(U, t)
+        t += 1
+    return U, D, V
+
+
+def per_assignment_soundness_check(t, T, signature, assignments=None):
+    """``expander.soundness_check`` with every atom of the split evaluated
+    at every assignment."""
+    raw = SemidirectProduct(T)
+    variables = termlang.term_variables(t)
+    parts = split(t, signature, variables)
+    pools = assignments or itertools.product(raw.universe(), repeat=len(variables))
+    for combo in pools:
+        env_pairs = dict(zip(variables, combo))
+        env_i = {parts.names[v]: env_pairs[v][0] for v in variables}
+        env_q = {v: env_pairs[v][1] for v in variables}
+        direct = termlang.eval_term(raw, t, env_pairs)
+        total = T.I.module.add(
+            eval_sum(parts.pure, T, env_i, env_q),
+            T.I.module.add(
+                eval_sum(parts.star, T, env_i, env_q),
+                eval_sum(parts.delta, T, env_i, env_q),
+            ),
+        )
+        if direct[0] != total:
+            return False, env_pairs
+        if direct[1] != termlang.eval_term(T.Q, parts.qterm, env_q):
+            return False, env_pairs
+    return True, None

@@ -352,11 +352,17 @@ def test_golden_reports(tmp_path, monkeypatch):
 # perfbench compares per-layer call counts between passes in one process,
 # so work saved for a later main() call shows there as a failure.  These
 # jobs reach the Smith form through the congruence solver, the quotient
-# presentation and class_of, and the strict identities through AffineH2.
+# presentation and class_of, the strict identities through AffineH2,
+# identity checks on generator tuples of a legal table through check and
+# wells, and the split's atom memo through check.  Each job names the
+# counters it must reach.
 REPEATED_COMMANDS = [
-    ["h2", "--datum", "{affm4}", "--variety", "sc", "--action", "t", "--affine"],
-    ["equivalent", "--fixture", "{f2}", "--left", "T", "--right", "Z0"],
-    ["hs", "--fixture", "{hs1}"],
+    (["h2", "--datum", "{affm4}", "--variety", "sc", "--action", "t", "--affine"],
+     ("smith", "strict")),
+    (["equivalent", "--fixture", "{f2}", "--left", "T", "--right", "Z0"], ("smith",)),
+    (["hs", "--fixture", "{hs1}"], ("smith", "strict")),
+    (["check", "--fixture", "{f2}"], ("holds", "atom")),
+    (["wells", "--fixture", "{f2}", "--cocycle", "T"], ("smith", "holds")),
 ]
 
 
@@ -368,6 +374,8 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
     fresh_main = importlib.import_module("mlex.cli").main
     modcore = importlib.import_module("mlex.modcore")
     cohomology = importlib.import_module("mlex.cohomology")
+    termlang = importlib.import_module("mlex.termlang")
+    expander = importlib.import_module("mlex.expander")
     counts = collections.Counter()
 
     def counted(name, func):
@@ -378,8 +386,10 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(modcore, "smith_normal_form", counted("smith", modcore.smith_normal_form))
     monkeypatch.setattr(cohomology, "strict_identity", counted("strict", cohomology.strict_identity))
+    monkeypatch.setattr(termlang, "holds", counted("holds", termlang.holds))
+    monkeypatch.setattr(expander, "eval_atom", counted("atom", expander.eval_atom))
     paths = write_fixtures(tmp_path)
-    for argv in REPEATED_COMMANDS:
+    for argv, reached in REPEATED_COMMANDS:
         runs = []
         for _ in range(2):
             counts.clear()
@@ -387,8 +397,8 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
             capsys.readouterr()
             runs.append(dict(counts))
         assert runs[0] == runs[1], argv
-        assert runs[0]["smith"] > 0, argv
-        assert runs[0].get("strict", 0) > 0 or argv[0] == "equivalent", argv
+        for name in reached:
+            assert runs[0].get(name, 0) > 0, (argv, name)
 
 
 def test_save_load_round_trip(f2, hs1):

@@ -26,9 +26,21 @@ from hypothesis import assume, given, settings, strategies as st
 import mlex
 
 from mlex.errors import ConsistencyError, MlexError
-from mlex.modcore import LinMap, ZmModule, mod_elements
+from mlex.modcore import LinMap, ZmModule, mod_elements, smith_normal_form
 from mlex.algebra import find_isomorphism, is_homomorphism, series
-from mlex.termlang import Signature, Variety, parse_identity
+from mlex.termlang import (
+    Apply,
+    Neg,
+    Plus,
+    Scalar,
+    Signature,
+    Var,
+    Variety,
+    counterexample,
+    holds,
+    parse_identity,
+)
+from mlex.expander import soundness_check
 from mlex.cocycle import (
     Action,
     Cocycle,
@@ -50,9 +62,11 @@ from mlex.cohomology import (
     h_key,
 )
 from mlex.derlie import (
+    check_jacobi,
     compatible_pairs,
     derivations_of,
     group_trivialize,
+    lin_add,
     pair_is_compatible,
     shift_by_coboundary,
 )
@@ -61,11 +75,14 @@ from oracles import (
     all_witness_maps,
     coboundary_formula,
     coboundary_table,
+    exhaustive_check_jacobi,
     exhaustive_compatible_pairs,
     exhaustive_derivations_of,
     exhaustive_is_homomorphism,
     full_cell_pair_is_compatible,
     isomorphism_witness,
+    per_assignment_soundness_check,
+    reference_smith_normal_form,
     sampled_constraint_rows,
 )
 from strategies import (
@@ -445,3 +462,111 @@ def test_decompose_rebuilds_the_algebra(data):
     d = decompose(A, kind)
     assert d.verified
     assert find_isomorphism(A, d.reconstructed) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_smith_normal_form_matches_reference(data):
+    """U, D and V equal the full-matrix route's exactly, on matrices with
+    non-unit pivots, negative entries and zero rows or columns."""
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    bound = data.draw(st.sampled_from([1, 4, 30]))
+    entries = st.one_of(st.just(0), st.integers(-bound, bound))
+    A = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
+    assert smith_normal_form(A) == reference_smith_normal_form(A)
+
+
+# Per arity: multilinear identities (Leibniz, Jacobi, symmetry), then ones
+# that are not: a square, and additivity written with a sum in one slot.
+IDENTITIES = {
+    1: ["f(f(x)) = f(x)", "f(x) + 2*f(x) = -f(x)", "f(x) + f(y) = f(x + y)"],
+    2: [
+        "f(x, f(y, z)) = f(f(x, y), z) + f(y, f(x, z))",
+        "f(f(x, y), z) + f(f(y, z), x) + f(f(z, x), y) = 0",
+        "f(x, y) = f(y, x)",
+        "f(x, x) = 0",
+        "f(x + y, z) = f(x, z) + f(y, z)",
+    ],
+    3: ["f(x, y, z) = f(y, x, z)", "f(x, y, z) + f(z, y, x) = 0", "f(x, x, y) = 0"],
+}
+
+
+def identities_for(carrier, arity):
+    sig = Signature(carrier.modulus, (("f", arity),))
+    return [parse_identity(text, sig) for text in IDENTITIES[arity]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(cocycles(arities=ARITIES))
+def test_holds_matches_counterexample_on_semidirect_tables(T):
+    """Before legality is known, and after it is found legal or illegal,
+    ``holds`` agrees with the exhaustive counterexample search."""
+    raw = SemidirectProduct(T)
+    arity = T.Q.op_arity("f")
+    for ident in identities_for(raw, arity):
+        assert holds(raw, ident) == (counterexample(raw, ident) is None)
+    raw.legality()
+    for ident in identities_for(raw, arity):
+        assert holds(raw, ident) == (counterexample(raw, ident) is None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(algebras())
+def test_holds_matches_counterexample_on_algebras(A):
+    for ident in identities_for(A, A.op_arity("f")):
+        assert holds(A, ident) == (counterexample(A, ident) is None)
+
+
+@st.composite
+def map_groups(draw):
+    """The derivations of a drawn algebra, or the group spanned by two
+    drawn endomorphisms, which need not close under the bracket."""
+    A = draw(algebras())
+    if draw(st.booleans()):
+        return derivations_of(A)
+    M = A.module
+    span = {LinMap.zero_map(M, M).images: LinMap.zero_map(M, M)}
+    gens = [draw(linear_maps(M, M)) for _ in range(2)]
+    frontier = list(span.values())
+    while frontier:
+        s = frontier.pop()
+        for g in gens:
+            t = lin_add(s, g)
+            if t.images not in span:
+                span[t.images] = t
+                frontier.append(t)
+    return sorted(span.values(), key=lambda f: [e.coords for e in f.images])
+
+
+@settings(max_examples=100, deadline=None)
+@given(map_groups())
+def test_check_jacobi_matches_exhaustive_check(maps):
+    assert check_jacobi(maps) == exhaustive_check_jacobi(maps)
+
+
+def terms(arity, modulus):
+    """Terms in x and y over the operation f, up to eight leaves."""
+    return st.recursive(
+        st.sampled_from([Var("x"), Var("y")]),
+        lambda inner: st.one_of(
+            inner.map(Neg),
+            st.tuples(st.integers(0, modulus - 1), inner).map(lambda p: Scalar(*p)),
+            st.tuples(inner, inner).map(lambda p: Plus(*p)),
+            st.lists(inner, min_size=arity, max_size=arity).map(
+                lambda args: Apply("f", tuple(args))
+            ),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_soundness_check_matches_per_assignment_oracle(data):
+    """Kernel operations and several-slot actions give atoms that read
+    kernel names and quotient variables together."""
+    T = data.draw(cocycles(arities=ARITIES))
+    arity, m = T.Q.op_arity("f"), T.Q.module.modulus
+    sig = Signature(m, (("f", arity),))
+    t = data.draw(terms(arity, m))
+    assert soundness_check(t, T, sig) == per_assignment_soundness_check(t, T, sig)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mlex.errors import MlexError, ParseError
 from mlex.modcore import ZmModule, mod_elements
 from mlex.algebra import Algebra, MultilinearOp
+from mlex.cocycle import Action, Cocycle, SemidirectProduct
+from mlex import termlang
 from mlex.termlang import (
     Apply,
     Identity,
@@ -20,12 +22,13 @@ from mlex.termlang import (
     eval_term,
     holds,
     in_variety,
+    is_multilinear,
     parse_identity,
     parse_term,
     print_term,
     term_variables,
 )
-from fixture_lib import f2_algebra, leibniz_variety, sig_f
+from fixture_lib import f1_datum, f2_algebra, leibniz_variety, sig_f, zero_binary_algebra
 
 
 SIG = Signature(4, (("f", 2), ("g", 2), ("P", 1)))
@@ -232,3 +235,71 @@ def test_identity_variable_list_enforced():
         Identity(Var("x"), Var("y"), ("x",))
     ident = parse_identity("f(x,y) = f(y,x)", SIG)
     assert ident.variables == ("x", "y")
+
+
+def test_is_multilinear_examples():
+    sig = sig_f()
+    multilinear = [
+        "[x,[y,z]] = [[x,y],z] + [y,[x,z]]",
+        "f(x,y) = f(y,x)",
+        "f(x,y) + 2*f(x,y) = -f(x + x, y)",
+        "f(x, 0) + f(0 + 0, y) = 0",
+    ]
+    other = ["f(x,x) = 0", "f(x + y, z) = f(x, z) + f(y, z)", "f(x,y) = x", "f(x,y) = 0 + x"]
+    assert all(is_multilinear(parse_identity(text, sig)) for text in multilinear)
+    assert not any(is_multilinear(parse_identity(text, sig)) for text in other)
+
+
+def _count_lhs_evaluations(monkeypatch, carrier, ident):
+    calls = []
+
+    def counted(c, t, env):
+        if t is ident.lhs:
+            calls.append(env)
+        return eval_term(c, t, env)
+
+    monkeypatch.setattr(termlang, "eval_term", counted)
+    verdict = holds(carrier, ident)
+    monkeypatch.setattr(termlang, "eval_term", eval_term)
+    return verdict, len(calls)
+
+
+def test_multilinear_identity_on_a_legal_table_reads_generator_tuples(monkeypatch):
+    """Leibniz on a legal |E| = 16 product: every element tuple before the
+    verdict is known, generator tuples only once it is cached as legal, and
+    ``holds`` never computes the verdict itself."""
+    Q2 = ZmModule(2, (2, 2))
+    Q, I = zero_binary_algebra(Q2), zero_binary_algebra(Q2)
+    e1 = Q2.generator(0)
+    # the bilinear factor set f(x, y) = x_1 y_2 e1
+    tf = {
+        ("f", (x, y)): e1
+        for x in mod_elements(Q2)
+        for y in mod_elements(Q2)
+        if x.coords[0] * y.coords[1] % 2
+    }
+    T = Cocycle.from_cells(Action.trivial(Q, I), tf_cells=tf)
+    raw = SemidirectProduct(T)
+    ident = leibniz_variety().identities[0]
+    assert _count_lhs_evaluations(monkeypatch, raw, ident) == (True, 16**3)
+    assert raw._legal is None
+    assert raw.is_legal()
+    gens = raw.multilinear_generators()
+    assert len(gens) == 4
+    assert _count_lhs_evaluations(monkeypatch, raw, ident) == (True, len(gens) ** 3)
+    cube = parse_identity("f(f(x,x),x) = 0", sig_f())
+    assert _count_lhs_evaluations(monkeypatch, raw, cube) == (True, 16)
+
+
+def test_legal_table_whose_zero_is_not_the_identity_stays_exhaustive():
+    """A constant group factor set c with r-fold scalar factor sets r*c is
+    legal, but its identity is (-c, 0), not ``zero()``: generator tuples
+    would not decide identities written with 0, -x or r*x there."""
+    Q, I = f1_datum()
+    zero, one = mod_elements(Q.module)
+    tplus = {(x, y): one for x in (zero, one) for y in (zero, one)}
+    tr = {(r, x): one if r == 1 else zero for r in range(2) for x in (zero, one)}
+    tf = {("f", (x, y)): one for x in (zero, one) for y in (zero, one)}
+    raw = SemidirectProduct(Cocycle(Action.trivial(Q, I), tplus, tr, tf))
+    assert raw.is_legal()
+    assert raw.multilinear_generators() is None
