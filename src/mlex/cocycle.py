@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, MlexError, ValidationError
-from .modcore import LinMap, greedy_generators, iter_homs, mod_elements, solve_congruences
+from .modcore import Congruences, LinMap, greedy_span, is_subgroup, iter_homs, mod_elements
 from .algebra import (
     Algebra,
     Ideal,
@@ -593,7 +593,8 @@ class SemidirectProduct:
         # multilinearity of every operation in every slot
         elems = self.universe()
         eadd = [add(u, v) for u in range(ne) for v in range(ne)]
-        gens = greedy_generators(ne, lambda u, v: eadd[u * ne + v])
+        identity = next(u for u in range(ne) if eadd[u * ne + u] == u)
+        gens = [u for u, _ in greedy_span(range(ne), lambda u, v: eadd[u * ne + v], identity)]
         for name, op in self.Q.ops.items():
             n = op.arity
             table = [None] * ne**n
@@ -869,35 +870,105 @@ def psi_isomorphism(E, T=None):
     return table
 
 
+class LiftingChanges:
+    """The group of lifting changes of a datum: the maps h: Q -> I with
+    h(0) = 0, under pointwise addition.
+
+    A map is a vector over (x, j), x a nonzero element of Q in
+    ``mod_elements`` order and j a coordinate of I, j innermost; entry
+    (x, j) lies in Z_{d_j}.  Every list of maps is sorted by vector, which
+    is the order of their value tables.  The group factor set of h is
+    δh(x, y) = h(x) + h(y) - h(x + y), linear in h; δ is factored once,
+    when ``changes`` first needs it.  Build one object per computation and
+    share it among the questions that computation asks.
+    """
+
+    def __init__(self, Q, I):
+        self.Q, self.I = Q, I
+        self._qs = mod_elements(Q.module)
+        self.moduli = list(I.module.factors) * (len(self._qs) - 1)
+        self.zero = (0,) * len(self.moduli)
+
+    def vector(self, h):
+        return tuple(c for x in self._qs[1:] for c in h[x].coords)
+
+    def table(self, c):
+        k, Im = self.I.module.rank, self.I.module
+        return {x: Im.element(c[(i - 1) * k:i * k]) if i else Im.zero() for i, x in enumerate(self._qs)}
+
+    def add(self, u, v):
+        return tuple((a + b) % d for a, b, d in zip(u, v, self.moduli))
+
+    def units(self):
+        """The unit maps: one kernel generator at one nonzero x."""
+        n = len(self.moduli)
+        return [self.table([int(i == t) for i in range(n)]) for t in range(n)]
+
+    @functools.cached_property
+    def homs(self):
+        """Hom(Q, I), the maps with null group factor set, as sorted vectors."""
+        return sorted(
+            self.vector({x: phi(x) for x in self._qs})
+            for phi in iter_homs(self.Q.module, self.I.module)
+        )
+
+    @functools.cached_property
+    def _delta(self):
+        """δ with one row per distinct (row, modulus) over nonzero x, y and
+        coordinate j, and the row each (x, y, j) reads: a symmetric
+        factor set repeats rows."""
+        Qm, xs, k = self.Q.module, self._qs[1:], self.I.module.rank
+        rows, where = {}, {}
+        for x in xs:
+            for y in xs:
+                s = Qm.add(x, y)
+                coeffs = [(z == x) + (z == y) - (z == s) for z in xs]
+                for j, d in enumerate(self.I.module.factors):
+                    row = [0] * len(self.moduli)
+                    row[j::k] = coeffs
+                    where[(x, y, j)] = rows.setdefault((tuple(row), d), len(rows))
+        A = [list(row) for row, _ in rows]
+        return Congruences(A, [d for _, d in rows], self.moduli), where
+
+    def changes(self, D):
+        """Every h with δh = D, sorted: the coset h0 + Hom(Q, I) of one
+        particular solution h0, or [] when there is none."""
+        qs = self._qs
+        if any(not (D[(qs[0], x)].is_zero() and D[(x, qs[0])].is_zero()) for x in qs):
+            return []
+        delta, where = self._delta
+        b = {}  # a repeated row must repeat its right-hand side
+        for (x, y, j), row in where.items():
+            if b.setdefault(row, D[(x, y)].coords[j]) != D[(x, y)].coords[j]:
+                return []
+        sol = delta.solve([b[row] for row in range(len(b))])
+        if sol is None:
+            return []
+        return [self.table(v) for v in sorted(self.add(sol.particular, u) for u in self.homs)]
+
+    def span(self, maps):
+        """The subgroup the maps generate, sorted."""
+        spanned = greedy_span((self.vector(h) for h in maps), self.add, self.zero)
+        return [self.table(v) for v in sorted({self.zero}.union(*(a for _, a in spanned)))]
+
+    def is_subgroup(self, maps):
+        return is_subgroup((self.vector(h) for h in maps), self.add, self.zero)
+
+    def witness(self, raw, Tp):
+        """First h of ``changes`` whose lifting x -> (h(x), x) of the raw
+        table realizes Tp, or None: see ``equivalent``."""
+        T = raw.T
+        D = {key: T.I.module.sub(v, T.tplus[key]) for key, v in Tp.tplus.items()}
+        for h in self.changes(D):
+            if matches(relift(raw, h), Tp):
+                return h
+        return None
+
+
 def lifting_changes(Q, I, D):
     """Every h: Q -> I with h(0) = 0 and h(x) + h(y) - h(x+y) = D(x, y),
-    sorted by their value tables.
-
-    One congruence solve gives a particular h0; the others differ from it
-    by the maps with null coboundary, which are the module maps Q -> I.
-    """
-    Qm, Im = Q.module, I.module
-    qs = mod_elements(Qm)
-    if any(not (D[(qs[0], x)].is_zero() and D[(x, qs[0])].is_zero()) for x in qs):
-        return []
-    xs, k = qs[1:], Im.rank
-    rows = {}  # each (row, right-hand side, modulus) once: a symmetric D repeats them
-    for x in xs:
-        for y in xs:
-            s = Qm.add(x, y)
-            coeffs = [(z == x) + (z == y) - (z == s) for z in xs]
-            for j, d in enumerate(Im.factors):
-                row = [0] * (len(xs) * k)
-                row[j::k] = coeffs
-                rows[(tuple(row), D[(x, y)].coords[j], d)] = None
-    A, b, moduli = zip(*rows) if rows else ((), (), ())
-    sol = solve_congruences(A, b, moduli, list(Im.factors) * len(xs))
-    if sol is None:
-        return []
-    p = sol.particular
-    h0 = {x: Im.element(p[(i - 1) * k:i * k]) if i else Im.zero() for i, x in enumerate(qs)}
-    out = [{x: Im.add(h0[x], phi(x)) for x in qs} for phi in iter_homs(Qm, Im)]
-    return sorted(out, key=lambda h: [h[x].coords for x in qs])
+    sorted by their value tables."""
+    return LiftingChanges(Q, I).changes(D)
 
 
 def equivalent(T, Tp):
@@ -914,12 +985,7 @@ def equivalent(T, Tp):
     """
     if not T.same_datum(Tp):
         raise MlexError("equivalence requires a common datum")
-    D = {k: T.I.module.sub(v, T.tplus[k]) for k, v in Tp.tplus.items()}
-    raw = SemidirectProduct(T)
-    for h in lifting_changes(T.Q, T.I, D):
-        if matches(relift(raw, h), Tp):
-            return h
-    return None
+    return LiftingChanges(T.Q, T.I).witness(SemidirectProduct(T), Tp)
 
 
 def negated(h, I):

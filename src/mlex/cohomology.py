@@ -16,6 +16,7 @@ from .errors import BudgetExceeded, ConsistencyError, MlexError
 from .modcore import (
     Congruences,
     Presentation,
+    abelian_decomposition,
     hom_enumerate,
     homs_where,
     mod_elements,
@@ -27,9 +28,10 @@ from .expander import ActionApp, FactorF, FactorPlus, FactorR, strict_identity
 from .cocycle import (
     Cocycle,
     DatumError,
+    LiftingChanges,
     SemidirectProduct,
     enumerate_actions,
-    equivalent,
+    is_compatible,
     matches,
     relift,
 )
@@ -48,7 +50,7 @@ class CohomologyClass:
 def _factor_set_cells(Q, I):
     """Unknown factor-set cells: entries not pinned to zero by T1/T3."""
     qs = [x for x in mod_elements(Q.module) if not x.is_zero()]
-    cells = [("plus", x, y) for x in qs for y in qs]
+    cells = [("plus", x, y) for x, y in itertools.product(qs, repeat=2)]
     for f in sorted(Q.ops):
         arity = Q.op_arity(f)
         for xs in itertools.product(qs, repeat=arity):
@@ -89,22 +91,21 @@ def enumerate_cocycles(Q, I, action=None, budget=2**20):
 
 
 def enumerate_h2(Q, I, V, action=None, budget=2**20):
-    """All compatible cocycles modulo equivalence, smallest key first."""
+    """All compatible cocycles modulo equivalence, smallest key first: each
+    is compared, as ``equivalent`` does, with the first member of every
+    class so far, through one group of lifting changes."""
     if not termlang.in_variety(Q, V):
         raise DatumError(f"quotient algebra is not in variety {V.name!r}")
     if not termlang.in_variety(I, V):
         raise DatumError(f"kernel algebra is not in variety {V.name!r}")
-    from .cocycle import is_compatible
-
-    compatible = [
-        T
-        for T in enumerate_cocycles(Q, I, action=action, budget=budget)
-        if is_compatible(T, V, check_datum=False)
-    ]
+    changes = LiftingChanges(Q, I)
     classes = []
-    for T in compatible:
+    for T in enumerate_cocycles(Q, I, action=action, budget=budget):
+        raw = SemidirectProduct(T)
+        if not is_compatible(T, V, check_datum=False, raw=raw):
+            continue
         for cls in classes:
-            if equivalent(T, cls[0]) is not None:
+            if changes.witness(raw, cls[0]) is not None:
                 cls.append(T)
                 break
         else:
@@ -262,8 +263,6 @@ class AffineH2:
         return [(self._cell_index[("plus", x, y)], self._unit)]
 
     def _solve(self):
-        from .cocycle import is_compatible
-
         if not self.I.is_abelian():
             raise MlexError("affine datum needs an abelian kernel algebra")
         if not self.action.is_unary():
@@ -294,7 +293,7 @@ class AffineH2:
         relations.extend(tuple(m if j == i else 0 for j in range(p)) for i in range(p))
         # over affine datum the lifting change h of the split table
         # realizes exactly the factor sets of the coboundary of h
-        for h in _witness_basis(self.Q, self.I):
+        for h in LiftingChanges(self.Q, self.I).units():
             tplus, _, tf, _ = relift(base, h)
             sol = self._generators.solve(self._vector_of(tplus, tf))
             if sol is None:
@@ -348,21 +347,6 @@ class AffineH2:
         )
 
 
-def _witness_basis(Q, I):
-    """Indicator witnesses spanning the maps Q -> I with h(0) = 0."""
-    out = []
-    zq, zi = Q.module.zero(), I.module.zero()
-    for x0 in mod_elements(Q.module):
-        if x0.is_zero():
-            continue
-        for j in range(I.module.rank):
-            h = {x: zi for x in mod_elements(Q.module)}
-            h[x0] = I.module.generator(j)
-            h[zq] = zi
-            out.append(h)
-    return out
-
-
 def h2_affine(Q, I, action, V):
     return AffineH2(Q, I, action, V)
 
@@ -386,20 +370,10 @@ def derivations(Q, I, action):
     """
     zero = Cocycle.zero(Q, I, action)
     raw = SemidirectProduct(zero)
-    qs = mod_elements(Q.module)
-    out = []
-    for phi in hom_enumerate(Q.module, I.module):
-        h = {x: phi(x) for x in qs}
-        if matches(relift(raw, h), zero):
-            out.append(h)
-    out.sort(key=lambda h: h_key(h, Q))
-    # the set must be closed under pointwise addition
-    keys = {h_key(h, Q) for h in out}
-    for h1 in out:
-        for h2 in out:
-            s = {x: I.module.add(h1[x], h2[x]) for x in h1}
-            if h_key(s, Q) not in keys:
-                raise ConsistencyError("derivations are not closed under addition")
+    changes = LiftingChanges(Q, I)
+    out = [h for h in map(changes.table, changes.homs) if matches(relift(raw, h), zero)]
+    if not changes.is_subgroup(out):
+        raise ConsistencyError("derivations are not closed under addition")
     return out
 
 
@@ -552,20 +526,7 @@ def principal_derivations(Q, I, action, depth=3):
         if not _twin_side_condition(raw, d, meta):
             continue
         good.append(d)
-    # subgroup generated under pointwise addition
-    members = {h_key(zero, Q): zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for g in good:
-                s = {x: I.module.add(base[x], g[x]) for x in qs}
-                k = h_key(s, Q)
-                if k not in members:
-                    members[k] = s
-                    nxt.append(s)
-        frontier = nxt
-    maps = sorted(members.values(), key=lambda h: h_key(h, Q))
+    maps = LiftingChanges(Q, I).span(good)
     complete = len(maps) == len(ders)
     return PrincipalResult(maps, complete, depth)
 
@@ -605,48 +566,37 @@ class H1Result:
     principal: PrincipalResult
     cosets: list
     invariant_factors: list
+    changes: LiftingChanges
+    index: dict  # derivation vector -> coset index
 
     def class_count(self):
         return len(self.cosets)
 
+    def coset_index(self, h):
+        """The coset of the map h, or None when h is not a derivation."""
+        return self.index.get(self.changes.vector(h))
+
 
 def h1(Q, I, action, depth=3):
+    """Derivations modulo the principal ones: each derivation, in sorted
+    order, that no coset holds yet takes the coset h + P of the principal
+    subgroup P, sorted; the invariant factors come from the coset sums."""
+    changes = LiftingChanges(Q, I)
     ders = derivations(Q, I, action)
     pres = principal_derivations(Q, I, action, depth=depth)
-    pkeys = {h_key(h, Q) for h in pres.maps}
-    cosets = []
-    assigned = {}
+    principal = [changes.vector(p) for p in pres.maps]
+    index, reps, cosets = {}, [], []
     for h in ders:
-        k = h_key(h, Q)
-        if k in assigned:
+        v = changes.vector(h)
+        if v in index:
             continue
-        coset = []
-        for g in ders:
-            diff = {x: I.module.sub(h[x], g[x]) for x in h}
-            if h_key(diff, Q) in pkeys:
-                coset.append(g)
-                assigned[h_key(g, Q)] = len(cosets)
-        coset.sort(key=lambda d: h_key(d, Q))
-        cosets.append(coset)
-    reps = [c[0] for c in cosets]
-
-    def coset_index(h):
-        k = h_key(h, Q)
-        return assigned[k]
-
-    def add_cosets(i, j):
-        s = {x: I.module.add(reps[i][x], reps[j][x]) for x in reps[i]}
-        return coset_index(s)
-
-    if len(cosets) == 1:
-        factors = []
-    else:
-        from .modcore import abelian_decomposition
-
-        orders, _, _ = abelian_decomposition(
-            list(range(len(cosets))),
-            lambda i, j: add_cosets(i, j),
-            coset_index({x: I.module.zero() for x in mod_elements(Q.module)}),
-        )
-        factors = orders
-    return H1Result(ders, pres, cosets, factors)
+        members = sorted(changes.add(v, p) for p in principal)
+        index.update(dict.fromkeys(members, len(cosets)))
+        reps.append(members[0])
+        cosets.append([changes.table(u) for u in members])
+    factors, _, _ = abelian_decomposition(
+        range(len(cosets)),
+        lambda i, j: index[changes.add(reps[i], reps[j])],
+        index[changes.zero],
+    )
+    return H1Result(ders, pres, cosets, factors, changes, index)

@@ -13,17 +13,17 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, MlexError
-from .modcore import LinMap, greedy_generators, homs_where, mod_elements
+from .modcore import LinMap, greedy_span, homs_where, is_subgroup, mod_elements
 from .algebra import subalgebra, algebra_from_ops
 from . import termlang
 from .cocycle import (
     Cocycle,
     ExtensionRecord,
+    LiftingChanges,
     SemidirectProduct,
     equivalent,
     extract_cocycle,
     is_compatible,
-    lifting_changes,
     negated,
     relift,
     substitute,
@@ -70,11 +70,10 @@ def is_derivation(M, h):
 
 
 def _generating_maps(maps):
-    """A generating set of the group formed by ``maps``, taken greedily in
-    list order."""
-    index = {m.images: i for i, m in enumerate(maps)}
-    gens = greedy_generators(len(maps), lambda u, v: index[lin_add(maps[u], maps[v]).images])
-    return [maps[i] for i in gens]
+    """A generating set of the group formed by the nonempty list ``maps``,
+    taken greedily in list order."""
+    zero = LinMap.zero_map(maps[0].source, maps[0].target)
+    return [u for u, _ in greedy_span(maps, lin_add, zero)]
 
 
 def derivations_of(M):
@@ -104,14 +103,14 @@ def ideal_preserving(M, ideal_elements):
 def check_jacobi(maps):
     """Bracket closure and the Jacobi identity on a list of maps.
 
-    Closure under addition is checked on every pair, so the maps form a
-    group; the bracket is bilinear and the Jacobi sum trilinear, so both
-    are then checked on a generating set alone."""
+    Closure under addition is checked first by the subgroup test, so the
+    maps form a group; the bracket is bilinear and the Jacobi sum
+    trilinear, so both are then checked on a generating set alone."""
+    if not maps:
+        return True
+    if not is_subgroup(maps, lin_add, LinMap.zero_map(maps[0].source, maps[0].target)):
+        return False
     keys = {m.images for m in maps}
-    for a in maps:
-        for b in maps:
-            if lin_add(a, b).images not in keys:
-                return False
     gens = _generating_maps(maps)
     bracket = {}
     for i, a in enumerate(gens):
@@ -212,7 +211,7 @@ def lift_pair(pair, T):
     return LiftResult(True, None, phi)
 
 
-def project_pair(phi, E, check_second_lifting=False):
+def project_pair(phi, E):
     """The restriction/quotient pair of an ideal-preserving derivation."""
     inv = E.iota_inverse()
     if any(phi(m) not in inv for m in inv):
@@ -231,11 +230,6 @@ def project_pair(phi, E, check_second_lifting=False):
     for x, v in beta_table.items():
         if beta(x) != v:
             raise ConsistencyError("projected quotient map is not linear")
-    if check_second_lifting:
-        for lifting in E.all_liftings()[:2]:
-            for x in mod_elements(E.Q.module):
-                if E.pi(phi(lifting[x])) != beta(x):
-                    raise ConsistencyError("projected pair depends on the lifting")
     return alpha, beta
 
 
@@ -249,7 +243,7 @@ def group_trivialize(T):
     Q, I = T.Q, T.I
     if T.is_group_trivial_table():
         return T, {x: I.module.zero() for x in mod_elements(Q.module)}
-    h = next(iter(lifting_changes(Q, I, T.tplus)), None)
+    h = next(iter(LiftingChanges(Q, I).changes(T.tplus)), None)
     return (None, None) if h is None else (shift_by_coboundary(T, h), h)
 
 
@@ -323,11 +317,22 @@ def wells_map(pair, T):
     T0, _ = group_trivialize(T)
     if T0 is None:
         raise MlexError("cocycle is not group-trivial")
-    S = twist_cocycle(T0, pair)
-    S.validate()
-    if not factor_sets_multilinear(S):
-        raise ConsistencyError("twisted factor sets are not multilinear")
-    return WellsClass(S, equivalent(Cocycle.zero(T.Q, T.I, T.action), S))
+    return _obstruction_classes([pair], T0)[0]
+
+
+def _obstruction_classes(pairs, T0):
+    """The obstruction class of each pair against the group-trivial T0, the
+    witnesses sought in one group of lifting changes of one split table."""
+    changes = LiftingChanges(T0.Q, T0.I)
+    split = SemidirectProduct(Cocycle.zero(T0.Q, T0.I, T0.action))
+    out = []
+    for pair in pairs:
+        S = twist_cocycle(T0, pair)
+        S.validate()
+        if not factor_sets_multilinear(S):
+            raise ConsistencyError("twisted factor sets are not multilinear")
+        out.append(WellsClass(S, changes.witness(split, S)))
+    return out
 
 
 @dataclass
@@ -433,9 +438,10 @@ def verify_wells(E, T=None, depth=3):
         delta_keys.add(h_key(table, Q))
     checks["kernel maps onto the datum derivations"] = delta_keys == set(datum_keys)
 
-    wells = {}
-    for pair in pairs:
-        wells[(pair[0].images, pair[1].images)] = wells_map(pair, T0)
+    # T0 is group-trivial, so these are the classes ``wells_map`` gives
+    wells = {
+        (a.images, b.images): cls for (a, b), cls in zip(pairs, _obstruction_classes(pairs, T0))
+    }
     ker_wells = {
         key for key, cls in wells.items() if cls.is_zero
     }

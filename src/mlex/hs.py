@@ -21,6 +21,7 @@ from .cocycle import (
     Action,
     Cocycle,
     ExtensionRecord,
+    LiftingChanges,
     extract_cocycle,
     is_compatible,
 )
@@ -215,18 +216,12 @@ def square_condition_general(datum, d_I):
     the printed two-sum identity, or None.  Action tables are additive in
     the slot entry, so the residual is affine in the value table of h and
     ``affine_solutions`` lists every solution, least first."""
-    Am = datum.A.module
-    qs = mod_elements(datum.Q.module)
-    k = Am.rank
-
-    def helper(c):
-        return {x: Am.element(c[(i - 1) * k:i * k]) if i else Am.zero() for i, x in enumerate(qs)}
-
+    helpers = LiftingChanges(datum.Q, datum.A)
     if not datum.T.action.tables:
         # no cells: every helper map qualifies, so skip listing them all
-        return helper((0,) * k * (len(qs) - 1))
-    sols = affine_solutions(Am.factors * (len(qs) - 1), lambda c: _box_residual(datum, d_I, helper(c)))
-    return helper(sols[0]) if sols else None
+        return helpers.table((0,) * len(helpers.moduli))
+    sols = affine_solutions(helpers.moduli, lambda c: _box_residual(datum, d_I, helpers.table(c)))
+    return helpers.table(sols[0]) if sols else None
 
 
 def transgression(datum, d_I):
@@ -280,31 +275,16 @@ def verify_hs(datum, depth=3):
             )
     ders3 = derivations(I_alg, AI, datum.action_I_AI)
     G3 = [d for d in ders3 if square_condition(datum, d)]
-    # box derivations form a subgroup
     keys3 = {h_key(d, I_alg) for d in G3}
-    closed = all(
-        h_key({b: AI.module.add(d1[b], d2[b]) for b in d1}, I_alg) in keys3
-        for d1 in G3
-        for d2 in G3
-    )
-    checks["box derivations form a subgroup"] = closed
+    checks["box derivations form a subgroup"] = LiftingChanges(I_alg, AI).is_subgroup(G3)
     G4 = h2_affine(Q, AI, datum.induced, datum.variety)
     G5 = h2_affine(M, AI, datum.action_M_AI, datum.variety)
-
-    def h1_class(G, Q_alg, d):
-        k = h_key(d, Q_alg)
-        for idx, coset in enumerate(G.cosets):
-            if any(h_key(g, Q_alg) == k for g in coset):
-                return idx
-        return None
 
     # inflation on first cohomology
     infl = {}
     ok_members = True
     for idx, coset in enumerate(G1.cosets):
-        images = {
-            h1_class(G2, M, inflation_derivation(datum, d)) for d in coset
-        }
+        images = {G2.coset_index(inflation_derivation(datum, d)) for d in coset}
         if len(images) != 1 or None in images:
             ok_members = False
         infl[idx] = images.pop()

@@ -470,45 +470,41 @@ def solve_linear(A, b, col_moduli=None):
     return solve_congruences(A, list(b.coords), row_moduli, list(col_moduli))
 
 
-def greedy_generators(n, plus):
-    """A generating set of a finite group on indices 0..n-1 whose sum of u
-    and v is ``plus(u, v)``, taken greedily in index order.  The identity,
-    the only idempotent, is skipped: it generates nothing."""
-    gens, span = [], set()
-    for u in range(n):
+def greedy_span(items, plus, zero):
+    """Grow the subgroup that ``items`` generate under ``plus``, one greedy
+    generator at a time: an item already spanned is skipped, and any other
+    one is yielded with the elements its multiples add.  The span S grows
+    by the cosets S + u, S + 2u, ... until a multiple of u falls back into
+    S, so the whole span costs O(|span|) sums."""
+    span, order = {zero}, [zero]
+    for u in items:
         if u in span:
             continue
-        if plus(u, u) == u:
-            span.add(u)
-            continue
-        gens.append(u)
-        frontier = [u, *span]
-        span.add(u)
-        while frontier:
-            s = frontier.pop()
-            for g in gens:
-                t = plus(s, g)
-                if t not in span:
-                    span.add(t)
-                    frontier.append(t)
-    return gens
+        added, coset = [], order
+        while True:
+            coset = [plus(s, u) for s in coset]
+            if coset[0] in span:
+                break
+            span.update(coset)
+            added.extend(coset)
+        order = order + added
+        yield u, added
+
+
+def is_subgroup(items, plus, zero):
+    """Is the finite set ``items`` closed under ``plus``?  It is iff it holds
+    zero and the span of its greedy generators adds nothing outside it:
+    O(|items|) sums instead of one per pair."""
+    items = dict.fromkeys(items)
+    return zero in items and all(
+        e in items for _, added in greedy_span(items, plus, zero) for e in added
+    )
 
 
 def span_elements(module, gens):
     """The submodule generated by ``gens`` as an explicit element set."""
     zero = module.zero()
-    closed = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                e = module.add(s, g)
-                if e not in closed:
-                    closed.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return closed
+    return {zero}.union(*(added for _, added in greedy_span(gens, module.add, zero)))
 
 
 def abelian_decomposition(elements, add, zero):

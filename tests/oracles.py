@@ -9,7 +9,14 @@ its oracle on random small data.
 import itertools
 
 from mlex.errors import ConsistencyError
-from mlex.modcore import LinMap, hom_enumerate, mod_elements
+from mlex.modcore import (
+    LinMap,
+    abelian_decomposition,
+    hom_enumerate,
+    iter_homs,
+    mod_elements,
+    solve_congruences,
+)
 from mlex.cocycle import (
     Action,
     Cocycle,
@@ -18,7 +25,13 @@ from mlex.cocycle import (
     substitute,
 )
 from mlex.derlie import is_derivation, lin_add, lin_bracket
-from mlex.cohomology import multilinearity_identities
+from mlex.cohomology import (
+    _atom_tables,
+    _twin_side_condition,
+    derivations,
+    h_key,
+    multilinearity_identities,
+)
 from mlex.expander import eval_sum, split
 from mlex import termlang
 
@@ -533,3 +546,108 @@ def per_assignment_soundness_check(t, T, signature, assignments=None):
         if direct[1] != termlang.eval_term(T.Q, parts.qterm, env_q):
             return False, env_pairs
     return True, None
+
+
+def per_call_lifting_changes(Q, I, D):
+    """The maps h: Q -> I with h(0) = 0 and h(x) + h(y) - h(x+y) = D(x, y),
+    sorted: the δ rows written out and solved afresh for this one D, and
+    the module maps added to the particular solution as maps."""
+    Qm, Im = Q.module, I.module
+    qs = mod_elements(Qm)
+    if any(not (D[(qs[0], x)].is_zero() and D[(x, qs[0])].is_zero()) for x in qs):
+        return []
+    xs, k = qs[1:], Im.rank
+    rows = {}
+    for x in xs:
+        for y in xs:
+            s = Qm.add(x, y)
+            coeffs = [(z == x) + (z == y) - (z == s) for z in xs]
+            for j, d in enumerate(Im.factors):
+                row = [0] * (len(xs) * k)
+                row[j::k] = coeffs
+                rows[(tuple(row), D[(x, y)].coords[j], d)] = None
+    A, b, moduli = zip(*rows) if rows else ((), (), ())
+    sol = solve_congruences(A, b, moduli, list(Im.factors) * len(xs))
+    if sol is None:
+        return []
+    p = sol.particular
+    h0 = {x: Im.element(p[(i - 1) * k:i * k]) if i else Im.zero() for i, x in enumerate(qs)}
+    out = [{x: Im.add(h0[x], phi(x)) for x in qs} for phi in iter_homs(Qm, Im)]
+    return sorted(out, key=lambda h: [h[x].coords for x in qs])
+
+
+def pairwise_closed(maps, Q, I):
+    """Is the list of maps Q -> I closed under pointwise addition, tried on
+    every pair?"""
+    keys = {h_key(h, Q) for h in maps}
+    return all(
+        h_key({x: I.module.add(h1[x], h2[x]) for x in h1}, Q) in keys
+        for h1 in maps
+        for h2 in maps
+    )
+
+
+def breadth_first_principal(Q, I, action, depth=3):
+    """(maps, complete) of ``principal_derivations``, the accepted
+    candidates spanned breadth first."""
+    qs = mod_elements(Q.module)
+    if action.is_trivial():
+        return [{x: I.module.zero() for x in qs}], True
+    ders = derivations(Q, I, action)
+    der_keys = {h_key(h, Q) for h in ders}
+    raw = SemidirectProduct(Cocycle.zero(Q, I, action))
+    good = []
+    for table, meta in _atom_tables(Q, I, action, depth):
+        d = dict(zip(qs, table))
+        if h_key(d, Q) in der_keys and _twin_side_condition(raw, d, meta):
+            good.append(d)
+    maps = breadth_first_span(good, Q, I)
+    return maps, len(maps) == len(ders)
+
+
+def breadth_first_span(gens, Q, I):
+    """The maps Q -> I that sums of ``gens`` reach, one generator added to
+    every newly reached map in turn, sorted."""
+    qs = mod_elements(Q.module)
+    zero = {x: I.module.zero() for x in qs}
+    members = {h_key(zero, Q): zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for base in frontier:
+            for g in gens:
+                s = {x: I.module.add(base[x], g[x]) for x in qs}
+                k = h_key(s, Q)
+                if k not in members:
+                    members[k] = s
+                    nxt.append(s)
+        frontier = nxt
+    return sorted(members.values(), key=lambda h: h_key(h, Q))
+
+
+def quadratic_h1(Q, I, ders, principal):
+    """(cosets, invariant factors) of first cohomology: every pair of
+    derivations compared through their difference, and the coset group
+    decomposed from index sums."""
+    pkeys = {h_key(h, Q) for h in principal}
+    cosets = []
+    assigned = {}
+    for h in ders:
+        if h_key(h, Q) in assigned:
+            continue
+        coset = []
+        for g in ders:
+            diff = {x: I.module.sub(h[x], g[x]) for x in h}
+            if h_key(diff, Q) in pkeys:
+                coset.append(g)
+                assigned[h_key(g, Q)] = len(cosets)
+        coset.sort(key=lambda d: h_key(d, Q))
+        cosets.append(coset)
+    reps = [c[0] for c in cosets]
+
+    def add_cosets(i, j):
+        return assigned[h_key({x: I.module.add(reps[i][x], reps[j][x]) for x in reps[i]}, Q)]
+
+    zero = h_key({x: I.module.zero() for x in mod_elements(Q.module)}, Q)
+    factors, _, _ = abelian_decomposition(list(range(len(cosets))), add_cosets, assigned[zero])
+    return cosets, factors

@@ -354,8 +354,11 @@ def test_golden_reports(tmp_path, monkeypatch):
 # jobs reach the Smith form through the congruence solver, the quotient
 # presentation and class_of, the strict identities through AffineH2,
 # identity checks on generator tuples of a legal table through check and
-# wells, and the split's atom memo through check.  Each job names the
-# counters it must reach.
+# wells, and the split's atom memo through check.  The exhaustive h2, h1
+# and datum derivations jobs of the classify workload reach the lifting
+# changes: their realization checks and the listing of Hom(Q, I), and for
+# h2 the factored group factor set.  Each job names the counters it must
+# reach.
 REPEATED_COMMANDS = [
     (["h2", "--datum", "{affm4}", "--variety", "sc", "--action", "t", "--affine"],
      ("smith", "strict")),
@@ -363,6 +366,11 @@ REPEATED_COMMANDS = [
     (["hs", "--fixture", "{hs1}"], ("smith", "strict")),
     (["check", "--fixture", "{f2}"], ("holds", "atom")),
     (["wells", "--fixture", "{f2}", "--cocycle", "T"], ("smith", "holds")),
+    (["h2", "--datum", "{f2}", "--variety", "mlf", "--action", "t0"], ("smith", "relift")),
+    (["h2", "--datum", "{f2}", "--variety", "mlf"], ("smith", "relift")),
+    (["h1", "--fixture", "{f2}", "--q", "Q", "--i", "I", "--action", "t0"], ("relift", "homs")),
+    (["derivations", "--fixture", "{f2}", "--q", "Q", "--i", "I", "--action", "t0"],
+     ("relift", "homs")),
 ]
 
 
@@ -376,6 +384,7 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
     cohomology = importlib.import_module("mlex.cohomology")
     termlang = importlib.import_module("mlex.termlang")
     expander = importlib.import_module("mlex.expander")
+    cocycle = importlib.import_module("mlex.cocycle")
     counts = collections.Counter()
 
     def counted(name, func):
@@ -388,6 +397,9 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cohomology, "strict_identity", counted("strict", cohomology.strict_identity))
     monkeypatch.setattr(termlang, "holds", counted("holds", termlang.holds))
     monkeypatch.setattr(expander, "eval_atom", counted("atom", expander.eval_atom))
+    for module in (cocycle, cohomology):
+        monkeypatch.setattr(module, "relift", counted("relift", module.relift))
+    monkeypatch.setattr(cocycle, "iter_homs", counted("homs", cocycle.iter_homs))
     paths = write_fixtures(tmp_path)
     for argv, reached in REPEATED_COMMANDS:
         runs = []

@@ -374,3 +374,69 @@ def test_h1_examples(datum):
     zero_alg = Algebra(Z0, {"f": MultilinearOp("f", 2, Z0, {})})
     r = h1(zero_alg, zero_alg, Action.trivial(zero_alg, zero_alg))
     assert r.class_count() == 1 and r.invariant_factors == []
+
+
+# Z6 and Z2 x Z3 are one group: 1 -> (1, 1) one way, (1, 0) -> 3 and
+# (0, 1) -> 4 the other.
+Z6, Z23 = ZmModule(6, (6,)), ZmModule(6, (2, 3))
+TO_Z23 = LinMap(Z6, Z23, (Z23.element((1, 1)),))
+TO_Z6 = LinMap(Z23, Z6, (Z6.element((3,)), Z6.element((4,))))
+
+
+def scaled_action(Q, I, r):
+    """a(f, {2})(x | a) = r * x * a, x read as an integer: well defined and
+    additive in a when r kills |Q| times I."""
+    table = {
+        ((x,), (a,)): I.module.scalar(r * x.coords[0], a)
+        for x in mod_elements(Q.module)
+        for a in mod_elements(I.module)
+    }
+    return Action(Q, I, {("f", (1,)): table})
+
+
+def with_kernel(action, J, to_J, from_J):
+    """The action carried to a kernel J along the isomorphism to_J, whose
+    inverse is from_J."""
+    tables = {
+        key: {(qoff, tuple(to_J(a) for a in asub)): to_J(v) for (qoff, asub), v in table.items()}
+        for key, table in action.tables.items()
+    }
+    assert all(from_J(to_J(a)) == a for a in mod_elements(action.I.module))
+    return Action(action.Q, J, tables)
+
+
+def first_cohomology_summary(Q, I, action):
+    r = h1(Q, I, action)
+    ders = derivations(Q, I, action)
+    return len(ders), len(r.principal.maps), r.class_count(), r.invariant_factors
+
+
+def zero_op(M):
+    return Algebra(M, {"f": MultilinearOp("f", 2, M, {})})
+
+
+@pytest.mark.parametrize("r", [0, 2])
+def test_first_cohomology_does_not_depend_on_the_quotient_presentation(r):
+    """The quotient Q = Z6 or Z2 x Z3 against I = Z6; with r = 2 two
+    derivations, one of them principal."""
+    Q6, Q23, I = zero_op(Z6), zero_op(Z23), zero_op(Z6)
+    action = scaled_action(Q6, I, r)
+    got = first_cohomology_summary(Q6, I, action)
+    assert got == first_cohomology_summary(Q23, I, action.pull_back(Q23, TO_Z6))
+    assert got == {0: (6, 1, 6, [6]), 2: (2, 1, 2, [2])}[r]
+
+
+@pytest.mark.parametrize(
+    "q, r, unit, expected",
+    [(2, 0, False, (2, 1, 2, [2])), (3, 0, False, (3, 1, 3, [3])), (2, 3, True, (2, 2, 1, []))],
+)
+def test_first_cohomology_does_not_depend_on_the_kernel_presentation(q, r, unit, expected):
+    """The kernel I = Z6 or Z2 x Z3 against Q = Zq, with f(1, 1) = 1 when
+    ``unit``, the action carried along the isomorphism."""
+    M = ZmModule(6, (q,))
+    Q = Algebra(M, {"f": MultilinearOp("f", 2, M, {(0, 0): M.element((1,))} if unit else {})})
+    I6, I23 = zero_op(Z6), zero_op(Z23)
+    action = scaled_action(Q, I6, r)
+    got = first_cohomology_summary(Q, I6, action)
+    assert got == first_cohomology_summary(Q, I23, with_kernel(action, I23, TO_Z23, TO_Z6))
+    assert got == expected

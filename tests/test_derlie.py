@@ -147,14 +147,20 @@ def test_project_pair_examples():
     E, encode, decode = SemidirectProduct(T).extension_record()
     M = E.M
     zero_phi = LinMap.zero_map(M.module, M.module)
-    a, b = project_pair(zero_phi, E, check_second_lifting=True)
+    a, b = project_pair(zero_phi, E)
     assert all(v.is_zero() for v in a.images)
     assert all(v.is_zero() for v in b.images)
     # a derivation with phi(l(x)) inside the kernel projects to (0, 0)
     inv = E.iota_inverse()
+    liftings = E.all_liftings()
+    assert len(liftings) > 1
     for phi in ideal_preserving(M, set(inv)):
         alpha, beta = project_pair(phi, E)
         assert pair_is_compatible(alpha, beta, T.action)
+        # the quotient map does not depend on the lifting it is read at
+        for lifting in liftings[:2]:
+            for x in mod_elements(E.Q.module):
+                assert E.pi(phi(lifting[x])) == beta(x)
 
 
 def test_project_pair_kernel_valued_derivation():

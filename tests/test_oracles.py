@@ -21,13 +21,13 @@ invisible mod 2.
 import ast
 from pathlib import Path
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mlex
 
 from mlex.errors import ConsistencyError, MlexError
 from mlex.modcore import LinMap, ZmModule, mod_elements, smith_normal_form
-from mlex.algebra import find_isomorphism, is_homomorphism, series
+from mlex.algebra import Algebra, MultilinearOp, find_isomorphism, is_homomorphism, series
 from mlex.termlang import (
     Apply,
     Neg,
@@ -45,6 +45,7 @@ from mlex.cocycle import (
     Action,
     Cocycle,
     DatumError,
+    LiftingChanges,
     SemidirectProduct,
     coboundary,
     decompose,
@@ -59,6 +60,7 @@ from mlex.cohomology import (
     _factor_set_cells,
     derivations,
     enumerate_h2,
+    h1,
     h_key,
 )
 from mlex.derlie import (
@@ -73,6 +75,8 @@ from mlex.derlie import (
 
 from oracles import (
     all_witness_maps,
+    breadth_first_principal,
+    breadth_first_span,
     coboundary_formula,
     coboundary_table,
     exhaustive_check_jacobi,
@@ -81,10 +85,14 @@ from oracles import (
     exhaustive_is_homomorphism,
     full_cell_pair_is_compatible,
     isomorphism_witness,
+    pairwise_closed,
     per_assignment_soundness_check,
+    per_call_lifting_changes,
+    quadratic_h1,
     reference_smith_normal_form,
     sampled_constraint_rows,
 )
+from fixture_lib import side_action
 from strategies import (
     PRESENTATIONS,
     cocycles,
@@ -146,10 +154,8 @@ MAX_MAPS = 729
 
 
 @st.composite
-def lifting_change_data(draw):
-    """Modules Q and I small enough to list every map Q -> I, and a table
-    D: the group factor set of a drawn map, that with one cell changed, or
-    a table zero on the zero cells and arbitrary elsewhere."""
+def map_data(draw):
+    """Modules Q and I small enough to list every map Q -> I."""
     m = draw(st.sampled_from(sorted(PRESENTATIONS)))
     qf, if_ = draw(
         st.sampled_from(
@@ -162,7 +168,21 @@ def lifting_change_data(draw):
         )
     )
     Q = draw_algebra(draw, ZmModule(m, qf), 2, abelian=True)
-    I = draw_algebra(draw, ZmModule(m, if_), 2, abelian=True)
+    return Q, draw_algebra(draw, ZmModule(m, if_), 2, abelian=True)
+
+
+@st.composite
+def lifting_change_data(draw):
+    """Modules Q and I from ``map_data`` and a table D: see
+    ``group_factor_tables``."""
+    Q, I = draw(map_data())
+    return Q, I, draw(group_factor_tables(Q, I))
+
+
+@st.composite
+def group_factor_tables(draw, Q, I):
+    """The group factor set of a drawn map, that with one cell changed, or
+    a table zero on the zero cells and arbitrary elsewhere."""
     ins = mod_elements(I.module)
     D = coboundary_table(draw(witness_maps(Q, I)), Q, I)
     keys = sorted(D, key=lambda k: (k[0].coords, k[1].coords))
@@ -173,7 +193,7 @@ def lifting_change_data(draw):
         for x, y in keys:
             if not (x.is_zero() or y.is_zero()):
                 D[(x, y)] = draw(st.sampled_from(ins))
-    return Q, I, D
+    return D
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,6 +202,89 @@ def test_lifting_changes_are_the_maps_with_that_group_factor_set(case):
     Q, I, D = case
     expected = [h for h in all_witness_maps(Q, I) if coboundary_table(h, Q, I) == D]
     assert lifting_changes(Q, I, D) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_group_of_lifting_changes_answers_each_table_as_its_own_solve(data):
+    """One factored δ serves every table D of its datum."""
+    Q, I = data.draw(map_data())
+    changes = LiftingChanges(Q, I)
+    for _ in range(3):
+        D = data.draw(group_factor_tables(Q, I))
+        assert changes.changes(D) == per_call_lifting_changes(Q, I, D)
+
+
+@st.composite
+def map_sets(draw):
+    """A datum and a set of maps Q -> I: the span of up to three drawn
+    maps, that without one of its maps, or with one more drawn map."""
+    Q, I = draw(map_data())
+    gens = [draw(witness_maps(Q, I)) for _ in range(draw(st.integers(0, 3)))]
+    maps = breadth_first_span(gens, Q, I)
+    kind = draw(st.sampled_from(["span", "dropped", "extra"]))
+    if kind == "dropped" and len(maps) > 1:
+        maps.pop(draw(st.integers(0, len(maps) - 1)))
+    elif kind == "extra":
+        extra = draw(witness_maps(Q, I))
+        if extra not in maps:
+            maps.append(extra)
+    return Q, I, gens, maps
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_sets())
+def test_span_and_subgroup_test_match_pairwise_routes(case):
+    Q, I, gens, maps = case
+    changes = LiftingChanges(Q, I)
+    assert changes.span(gens) == breadth_first_span(gens, Q, I)
+    assert changes.is_subgroup(maps) == pairwise_closed(maps, Q, I)
+
+
+# Largest |Q| * |I| for the first cohomology cases: the principal
+# candidates are checked at every element of the product, by the library
+# and again by the oracle.
+MAX_PRODUCT = 8
+
+
+def nilpotent_action():
+    """Z2 acting on Z2^3 by a(f, {2})(1 | a) = (a_2, 0, 0): the derivations
+    are the maps into the kernel {a_2 = 0} of that slot map, and the
+    principal ones those into its image, so two of four cosets are one."""
+    Q, I = (
+        Algebra(M, {"f": MultilinearOp("f", 2, M, {})})
+        for M in (ZmModule(2, (2,)), ZmModule(2, (2, 2, 2)))
+    )
+    table = {
+        ((x,), (a,)): I.module.element((a.coords[1] * x.coords[0], 0, 0))
+        for x in mod_elements(Q.module)
+        for a in mod_elements(I.module)
+    }
+    return Action(Q, I, {("f", (1,)): table})
+
+
+@settings(max_examples=60, deadline=None)
+@example(side_action())
+@example(nilpotent_action())
+@given(
+    st.booleans()
+    .flatmap(lambda affine: cocycles(arities=(1, 2), defects=["none"], affine=affine))
+    .map(lambda T: T.action)
+    .filter(lambda a: a.Q.module.size() * a.I.module.size() <= MAX_PRODUCT)
+)
+def test_first_cohomology_matches_quadratic_routes(action):
+    """Derivations closed on every pair, the principal subgroup spanned
+    breadth first, and the cosets found by comparing every pair of
+    derivations, with the invariant factors of their sums."""
+    Q, I = action.Q, action.I
+    r = h1(Q, I, action)
+    assert pairwise_closed(r.derivations, Q, I)
+    assert (r.principal.maps, r.principal.complete) == breadth_first_principal(Q, I, action)
+    cosets, factors = quadratic_h1(Q, I, r.derivations, r.principal.maps)
+    assert r.cosets == cosets
+    assert r.invariant_factors == factors
+    for i, coset in enumerate(cosets):
+        assert all(r.coset_index(h) == i for h in coset)
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,6 +439,68 @@ def test_derivation_spaces_do_not_list_every_map():
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not names & {"hom_enumerate", "iter_homs"}
+
+
+def per_x_offset(bound):
+    """Is the slice bound of the form (i - 1) * k, a block of a vector with
+    one block per nonzero x?"""
+    return (
+        isinstance(bound, ast.BinOp)
+        and isinstance(bound.op, ast.Mult)
+        and isinstance(bound.left, ast.BinOp)
+        and isinstance(bound.left.op, ast.Sub)
+        and isinstance(bound.left.right, ast.Constant)
+        and bound.left.right.value == 1
+    )
+
+
+def nested_loops_over_one_name(tree):
+    """The names that a loop or comprehension iterates while a loop around
+    it, or an earlier generator of the same comprehension, iterates the
+    same name: the shape of a check on every pair."""
+    found = []
+
+    def iterate(it, names):
+        if isinstance(it, ast.Name):
+            if it.id in names:
+                found.append(it.id)
+            return names | {it.id}
+        return names
+
+    def visit(node, names):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            for gen in node.generators:
+                names = iterate(gen.iter, names)
+            for child in ast.iter_child_nodes(node):
+                visit(child, names)
+            return
+        if isinstance(node, ast.For):
+            names = iterate(node.iter, names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, names)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_maps_into_the_kernel_have_one_layout_and_no_pairwise_loops():
+    """Only ``LiftingChanges`` cuts a vector into one block per nonzero x,
+    and ``cohomology`` and ``hs`` decide closure and cosets without
+    visiting every pair."""
+    src = Path(mlex.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(n)
+            for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name == "LiftingChanges"
+            for n in ast.walk(c)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Slice) and id(node) not in owner:
+                assert not per_x_offset(node.lower), (path.name, node.lineno)
+    for name in ("cohomology.py", "hs.py"):
+        assert nested_loops_over_one_name(ast.parse((src / name).read_text())) == [], name
 
 
 def variety_shapes(arity, m):
@@ -520,22 +685,33 @@ def test_holds_matches_counterexample_on_algebras(A):
 @st.composite
 def map_groups(draw):
     """The derivations of a drawn algebra, or the group spanned by two
-    drawn endomorphisms, which need not close under the bracket."""
+    drawn endomorphisms, which need not close under the bracket; either
+    one maybe without one of its maps or with one more drawn map, so not
+    closed under addition."""
     A = draw(algebras())
-    if draw(st.booleans()):
-        return derivations_of(A)
     M = A.module
-    span = {LinMap.zero_map(M, M).images: LinMap.zero_map(M, M)}
-    gens = [draw(linear_maps(M, M)) for _ in range(2)]
-    frontier = list(span.values())
-    while frontier:
-        s = frontier.pop()
-        for g in gens:
-            t = lin_add(s, g)
-            if t.images not in span:
-                span[t.images] = t
-                frontier.append(t)
-    return sorted(span.values(), key=lambda f: [e.coords for e in f.images])
+    if draw(st.booleans()):
+        maps = derivations_of(A)
+    else:
+        span = {LinMap.zero_map(M, M).images: LinMap.zero_map(M, M)}
+        gens = [draw(linear_maps(M, M)) for _ in range(2)]
+        frontier = list(span.values())
+        while frontier:
+            s = frontier.pop()
+            for g in gens:
+                t = lin_add(s, g)
+                if t.images not in span:
+                    span[t.images] = t
+                    frontier.append(t)
+        maps = sorted(span.values(), key=lambda f: [e.coords for e in f.images])
+    kind = draw(st.sampled_from(["group", "group", "dropped", "extra"]))
+    if kind == "dropped" and len(maps) > 1:
+        maps.pop(draw(st.integers(1, len(maps) - 1)))
+    elif kind == "extra":
+        extra = draw(linear_maps(M, M))
+        if extra.images not in {m.images for m in maps}:
+            maps.append(extra)
+    return maps
 
 
 @settings(max_examples=100, deadline=None)
