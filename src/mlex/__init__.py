@@ -1,7 +1,7 @@
 """Exact extension and cohomology calculator for finite Z/m-modules
 expanded by multilinear operations."""
 
-from .modcore import Element, LinMap, ZmModule, hom_enumerate, mod_elements, solve_linear
+from .modcore import Element, LinMap, ZmModule, mod_elements
 from .algebra import (
     Algebra,
     Ideal,
@@ -39,7 +39,6 @@ from .cocycle import (
     is_h2_morphism,
     kernel_kind,
     mlf_variety,
-    realizes,
     realizes_raw,
 )
 from .cohomology import (
@@ -48,13 +47,11 @@ from .cohomology import (
     h1,
     h2_affine,
     principal_derivations,
-    stab_automorphisms,
 )
 from .derlie import (
     compatible_pairs,
     derivations_of,
     ideal_preserving,
-    lift_pair,
     project_pair,
     verify_wells,
     wells_map,
@@ -62,7 +59,6 @@ from .derlie import (
 from .hs import HSDatum, null_submodule, transgression, verify_hs
 from .expander import (
     action_identity,
-    eval_ms,
     general_identity,
     split,
     strict_identity,

@@ -79,9 +79,6 @@ class MultilinearOp:
     def is_zero(self):
         return not self.table
 
-    def canonical_items(self):
-        return sorted(self.table.items())
-
 
 class Algebra:
     """A module together with named multilinear operations."""
@@ -153,7 +150,7 @@ class Algebra:
         return hash(
             (
                 self.module,
-                tuple(sorted((n, o.arity, tuple(o.canonical_items())) for n, o in self.ops.items())),
+                tuple(sorted((n, o.arity, tuple(sorted(o.table.items()))) for n, o in self.ops.items())),
             )
         )
 
@@ -177,9 +174,6 @@ class Ideal:
 
     def __contains__(self, e):
         return e in self.elements
-
-    def size(self):
-        return len(self.elements)
 
     def is_zero(self):
         return self.elements == {self.parent.module.zero()}

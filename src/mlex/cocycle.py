@@ -348,10 +348,6 @@ class Cocycle:
                 tr[(r, x)] = acc
         return tr
 
-    def telescoped(self):
-        """Are the scalar factor sets the telescoped sums of the group one?"""
-        return self.tr == self._telescoped_tr()
-
     # -- algebraic structure on cocycles over one action ------------------
 
     def add(self, other):
@@ -705,28 +701,6 @@ class ExtensionRecord:
     def iota_inverse(self):
         return {self.iota(a): a for a in mod_elements(self.I.module)}
 
-    def all_liftings(self):
-        """Every section of pi fixing zero, in deterministic order."""
-        fibers = []
-        xs = [x for x in mod_elements(self.Q.module) if not x.is_zero()]
-        for x in xs:
-            fibers.append(
-                sorted(
-                    (m for m in mod_elements(self.M.module) if self.pi(m) == x),
-                    key=lambda e: e.coords,
-                )
-            )
-        out = []
-        zq = self.Q.module.zero()
-        for choice in itertools.product(*fibers):
-            lift = {zq: self.M.module.zero()}
-            lift.update(dict(zip(xs, choice)))
-            out.append(lift)
-        return out
-
-    def with_lifting(self, lifting):
-        return ExtensionRecord(self.M, self.Q, self.I, self.pi, self.iota, lifting)
-
 
 def _realized_tables(Q, I, carrier, lift, embed, down):
     """The four realization equations of a lifting, evaluated once.
@@ -794,11 +768,6 @@ def matches(tables, T):
     )
 
 
-def realizes(E, T):
-    """Do the four realization equations hold for this extension/lifting?"""
-    return matches(_extension_tables(E), T)
-
-
 def _kernel_part(u):
     """The kernel entry of a pair of a raw table, or None off the kernel."""
     a, x = u
@@ -839,35 +808,6 @@ def extract_cocycle(E):
     T = Cocycle(Action(E.Q, E.I, action_tables), tplus, tr, tf)
     T.validate()
     return T
-
-
-def psi_isomorphism(E, T=None):
-    """The standard map M -> I x Q for the extension's lifting, verified
-    as an isomorphism onto the semidirect product of its cocycle."""
-    T = T or extract_cocycle(E)
-    raw = SemidirectProduct(T)
-    inv = E.iota_inverse()
-    l = E.lifting
-
-    def psi(m):
-        x = E.pi(m)
-        return (inv[E.M.module.sub(m, l[x])], x)
-
-    table = {m: psi(m) for m in mod_elements(E.M.module)}
-    if len(set(table.values())) != len(table):
-        return None
-    for u in table:
-        for v in table:
-            if table[E.M.module.add(u, v)] != raw.add(table[u], table[v]):
-                return None
-        for r in range(E.M.module.modulus):
-            if table[E.M.module.scalar(r, u)] != raw.scalar(r, table[u]):
-                return None
-    for f, op in E.M.ops.items():
-        for args in itertools.product(list(table), repeat=op.arity):
-            if table[E.M.eval_op(f, args)] != raw.apply_op(f, [table[a] for a in args]):
-                return None
-    return table
 
 
 class LiftingChanges:
@@ -965,15 +905,9 @@ class LiftingChanges:
         return None
 
 
-def lifting_changes(Q, I, D):
-    """Every h: Q -> I with h(0) = 0 and h(x) + h(y) - h(x+y) = D(x, y),
-    sorted by their value tables."""
-    return LiftingChanges(Q, I).changes(D)
-
-
 def equivalent(T, Tp):
-    """First witness h, in the order of ``lifting_changes``, whose lifting
-    x -> (h(x), x) of T's semidirect table realizes Tp, or None.
+    """First witness h, in the order of ``LiftingChanges.changes``, whose
+    lifting x -> (h(x), x) of T's semidirect table realizes Tp, or None.
 
     On any table that lifting realizes the group factor set T_+ plus that
     of h, so h is a lifting change for Tp_+ - T_+.  For cocycles
@@ -1051,9 +985,10 @@ def is_h2_morphism(T, Tp, alpha, h, beta, emend=False):
     With ``emend=False`` the third condition is evaluated exactly as
     printed in its source formulation, which applies the kernel-side map
     to quotient elements; that reading only types when both data share
-    one carrier algebra, and otherwise raises.  ``emend=True`` switches
-    to the corrected reading (quotient map on quotient entries, kernel
-    operation of the target kernel).
+    one carrier algebra, and otherwise raises.  ``emend=True`` (the
+    command line's ``--emend``) switches to the corrected reading
+    (quotient map on quotient entries, kernel operation of the target
+    kernel).
     """
     Q1, I1, Q2, I2 = T.Q, T.I, Tp.Q, Tp.I
     Im2 = I2.module
@@ -1077,7 +1012,7 @@ def is_h2_morphism(T, Tp, alpha, h, beta, emend=False):
     if not emend and Q1 != I1:
         raise MlexError(
             "the literal third morphism condition applies the kernel map to "
-            "quotient entries; it only types when Q = I (pass emend=True "
+            "quotient entries; it only types when Q = I (pass --emend "
             "for the corrected reading)"
         )
     for f, op in Q1.ops.items():

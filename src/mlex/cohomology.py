@@ -17,12 +17,9 @@ from .modcore import (
     Congruences,
     Presentation,
     abelian_decomposition,
-    hom_enumerate,
-    homs_where,
     mod_elements,
     solve_congruences,
 )
-from .algebra import is_homomorphism
 from . import termlang
 from .expander import ActionApp, FactorF, FactorPlus, FactorR, strict_identity
 from .cocycle import (
@@ -377,43 +374,6 @@ def derivations(Q, I, action):
     return out
 
 
-def hom_kill_commutator(Q, I):
-    """Independent description for central datum: module maps vanishing
-    on the commutator ideal of Q, by one congruence solve."""
-    from .algebra import commutator, whole_ideal
-
-    qq = commutator(whole_ideal(Q), whole_ideal(Q))
-    maps = homs_where(Q.module, I.module, lambda phi: [phi(e) for e in qq.elements])
-    tables = [{x: phi(x) for x in mod_elements(Q.module)} for phi in maps]
-    return sorted(tables, key=lambda h: h_key(h, Q))
-
-
-def stab_automorphisms(E):
-    """Automorphisms fixing the embedded kernel pointwise and commuting
-    with the projection, with the derivation dictionary attached."""
-    M = E.M
-    inv = E.iota_inverse()
-    auts = []
-    for phi in hom_enumerate(M.module, M.module):
-        if not phi.is_bijective():
-            continue
-        if any(phi(m) != m for m in inv):
-            continue
-        if any(E.pi(phi(m)) != E.pi(m) for m in mod_elements(M.module)):
-            continue
-        if not is_homomorphism(M, M, phi):
-            continue
-        auts.append(phi)
-
-    def to_derivation(phi):
-        return {
-            x: inv[M.module.sub(E.lifting[x], phi(E.lifting[x]))]
-            for x in mod_elements(E.Q.module)
-        }
-
-    return auts, to_derivation
-
-
 @dataclass
 class PrincipalResult:
     maps: list
@@ -518,15 +478,15 @@ def principal_derivations(Q, I, action, depth=3):
     der_keys = {h_key(h, Q) for h in ders}
     raw = SemidirectProduct(Cocycle.zero(Q, I, action))
     qs = mod_elements(Q.module)
-    good = []
+    good = {}  # accepted tables; a rejected one may pass under other meta
     for table, meta in _atom_tables(Q, I, action, depth):
         d = dict(zip(qs, table))
-        if h_key(d, Q) not in der_keys:
+        key = h_key(d, Q)
+        if key not in der_keys or key in good:
             continue
-        if not _twin_side_condition(raw, d, meta):
-            continue
-        good.append(d)
-    maps = LiftingChanges(Q, I).span(good)
+        if _twin_side_condition(raw, d, meta):
+            good[key] = d
+    maps = LiftingChanges(Q, I).span(good.values())
     complete = len(maps) == len(ders)
     return PrincipalResult(maps, complete, depth)
 

@@ -62,13 +62,6 @@ def _derivation_defects(M, h):
     return out
 
 
-def is_derivation(M, h):
-    """Module endomap satisfying the product rule on every operation."""
-    if h.source != M.module or h.target != M.module:
-        return False
-    return all(d.is_zero() for d in _derivation_defects(M, h))
-
-
 def _generating_maps(maps):
     """A generating set of the group formed by the nonempty list ``maps``,
     taken greedily in list order."""
@@ -77,7 +70,7 @@ def _generating_maps(maps):
 
 
 def derivations_of(M):
-    """All derivations of M in ``hom_enumerate`` order, bracket-closed: the
+    """All derivations of M in ``iter_homs`` order, bracket-closed: the
     endomorphisms with no product-rule defect, by one congruence solve.
     They form a group and the bracket is bilinear, so closure is checked
     on generator pairs."""
@@ -180,37 +173,6 @@ def compatible_pairs(I, Q, action):
     return pairs
 
 
-@dataclass
-class LiftResult:
-    ok: bool
-    obstruction: str | None
-    derivation: LinMap | None
-
-
-def lift_pair(pair, T):
-    """Pair lift (a, x) -> (alpha a, beta x) on the semidirect product,
-    or the first failing linearity condition."""
-    alpha, beta = pair
-    if not T.is_group_trivial_table():
-        raise MlexError("pair lifting requires a cocycle with zero group factor set")
-    if not T.is_linear():
-        raise MlexError("pair lifting requires a linear cocycle")
-    # C1 and C3 hold iff the twisted scalar and operation factor sets vanish
-    S = twist_cocycle(T, pair)
-    for clause, table in (("C1", S.tr), ("C3", S.tf)):
-        if any(not v.is_zero() for v in table.values()):
-            return LiftResult(False, clause, None)
-    E, encode, decode = SemidirectProduct(T).extension_record()
-    images = []
-    for g in E.M.module.generators():
-        a, x = decode[g]
-        images.append(encode[(alpha(a), beta(x))])
-    phi = LinMap(E.M.module, E.M.module, tuple(images))
-    if not is_derivation(E.M, phi):
-        raise ConsistencyError("pair lift passed C1-C3 but is not a derivation")
-    return LiftResult(True, None, phi)
-
-
 def project_pair(phi, E):
     """The restriction/quotient pair of an ideal-preserving derivation."""
     inv = E.iota_inverse()
@@ -236,9 +198,9 @@ def project_pair(phi, E):
 def group_trivialize(T):
     """Equivalent cocycle with zero group factor set, or None.
 
-    Takes the first witness h, in the order of ``lifting_changes``, with
-    T_+ = h(x) + h(y) - h(x+y) and shifts T by its coboundary; over affine
-    datum the action is unchanged.
+    Takes the first witness h, in the order of ``LiftingChanges.changes``,
+    with T_+ = h(x) + h(y) - h(x+y) and shifts T by its coboundary; over
+    affine datum the action is unchanged.
     """
     Q, I = T.Q, T.I
     if T.is_group_trivial_table():

@@ -99,9 +99,6 @@ class AtomSum:
     def neg(self):
         return self.scale(-1)
 
-    def single(self, atom, coeff=1):
-        return AtomSum(self.modulus, {atom: coeff})
-
     def is_zero(self):
         return not self.items
 
@@ -507,11 +504,6 @@ def eval_sum(s, T, env_i, env_q):
     for atom, c in s.items.items():
         out = T.I.module.add(out, T.I.module.scalar(c, eval_atom(atom, T, env_i, env_q)))
     return out
-
-
-def eval_ms(T, s, env_i, env_q):
-    """Evaluate a kernel-sort sum in a concrete datum with cocycle T."""
-    return eval_sum(s, T, env_i, env_q)
 
 
 def _footprint(atom):

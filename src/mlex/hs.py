@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, MlexError
-from .modcore import affine_solutions, mod_elements
+from .modcore import mod_elements
 from .algebra import quotient, subalgebra
 from .cocycle import (
     Action,
@@ -165,9 +165,12 @@ def restriction_derivation(datum, d):
 
 
 def square_condition(datum, d_I):
-    """Simplified box condition on a kernel derivation with null-submodule
-    coefficients: single-slot extension actions intertwine with the
-    induced action, larger slots are annihilated."""
+    """The box condition on a kernel derivation with null-submodule
+    coefficients, in the form this program decides: single-slot extension
+    actions intertwine with the induced action, larger slots are
+    annihilated.  The paper prints it as a two-sum identity that some
+    helper map h: Q -> A must satisfy; every derivation this form accepts
+    has such a helper."""
     T = datum.T
     Q, I_alg = datum.Q, datum.I_alg
     AI = datum.coeff.algebra
@@ -186,42 +189,6 @@ def square_condition(datum, d_I):
                     if not d_I[value].is_zero():
                         return False
     return True
-
-
-def _box_residual(datum, d_I, h):
-    """Right minus left side of the printed two-sum identity at every
-    action-table cell, for a helper map h: Q -> A."""
-    T, Am = datum.T, datum.A.module
-    out = []
-    for (f, s), table in T.action.tables.items():
-        n = datum.Q.op_arity(f)
-        off = T.action.off_slots(f, s)
-        for qoff in itertools.product(mod_elements(datum.Q.module), repeat=len(off)):
-            for bsub in itertools.product(mod_elements(datum.I_alg.module), repeat=len(s)):
-                margs, coeffs = [None] * n, [None] * n
-                for q, i in zip(qoff, off):
-                    margs[i], coeffs[i] = datum.section[q], h[q]
-                for b, i in zip(bsub, s):
-                    margs[i], coeffs[i] = datum.iota(b), datum.coeff.embed(d_I[b])
-                rhs = Am.zero()
-                for i, c in enumerate(coeffs):
-                    rhs = Am.add(rhs, datum.action.value(f, (i,), tuple(margs), (c,) * n))
-                out.append(Am.sub(rhs, datum.coeff.embed(d_I[table[(qoff, bsub)]])))
-    return out
-
-
-def square_condition_general(datum, d_I):
-    """Existential form of the box condition over the full coefficient
-    algebra: the least helper map h: Q -> A, by value table, realizing
-    the printed two-sum identity, or None.  Action tables are additive in
-    the slot entry, so the residual is affine in the value table of h and
-    ``affine_solutions`` lists every solution, least first."""
-    helpers = LiftingChanges(datum.Q, datum.A)
-    if not datum.T.action.tables:
-        # no cells: every helper map qualifies, so skip listing them all
-        return helpers.table((0,) * len(helpers.moduli))
-    sols = affine_solutions(helpers.moduli, lambda c: _box_residual(datum, d_I, helpers.table(c)))
-    return helpers.table(sols[0]) if sols else None
 
 
 def transgression(datum, d_I):

@@ -190,19 +190,14 @@ class LinMap:
         return LinMap(module, module, tuple(module.generators()))
 
 
-def hom_enumerate(source, target):
-    """All module homomorphisms source -> target, in lexicographic order.
+def iter_homs(source, target):
+    """All module homomorphisms source -> target, one at a time, in
+    lexicographic order.
 
     A generator of order d may be sent exactly to the elements killed by
     d, so the count is the product over generators of the sizes of those
     annihilator sets.
     """
-    return list(iter_homs(source, target))
-
-
-def iter_homs(source, target):
-    """The maps of ``hom_enumerate`` one at a time, for searches that stop
-    at the first hit."""
     candidate_lists = []
     for d in source.factors:
         candidate_lists.append(
@@ -445,7 +440,7 @@ def affine_solutions(moduli, residual):
 
 def homs_where(source, target, residual):
     """Every homomorphism h: source -> target at which the list of Elements
-    ``residual(h)``, affine in h, is all zero; in ``hom_enumerate`` order.
+    ``residual(h)``, affine in h, is all zero; in ``iter_homs`` order.
     Coordinate c_ij in Z_gcd(s_i, t_j) sends e_i to c_ij (t_j / gcd) f_j,
     so every vector is a well-defined map and they sort in that order."""
     cells = [(i, j) for i in range(source.rank) for j in range(target.rank)]
@@ -458,16 +453,6 @@ def homs_where(source, target, residual):
         return LinMap(source, target, tuple(target.element(v) for v in images))
 
     return [as_map(c) for c in affine_solutions(moduli, lambda c: residual(as_map(c)))]
-
-
-def solve_linear(A, b, col_moduli=None):
-    """Convenience wrapper: b is one Element whose factor orders are the
-    row moduli; unknowns default to full Z/m residues."""
-    row_moduli = list(b.module.factors)
-    if col_moduli is None:
-        ncols = len(A[0]) if A else 0
-        col_moduli = [b.module.modulus] * ncols
-    return solve_congruences(A, list(b.coords), row_moduli, list(col_moduli))
 
 
 def greedy_span(items, plus, zero):

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from .errors import MlexError, ParseError, ValidationError
 from .modcore import ZmModule
 from .algebra import Algebra, MultilinearOp, ideal_generated
-from .termlang import Signature, Variety, parse_identity, print_term
-from .cocycle import Action, Cocycle, _reduced_key_order
+from .termlang import Signature, Variety, parse_identity
+from .cocycle import Action, Cocycle
 
 
 @dataclass
@@ -387,96 +387,3 @@ def _load_section(ws, sec):
         ws.cocycles[name] = T
         return
     raise ParseError(f"unknown section kind {kind!r}", line=line)
-
-
-# -- normalized serialization -----------------------------------------------------
-
-
-def save_text(ws):
-    """Normalized serialization: sorted names, sorted nonzero entries."""
-    lines = [f"[ring] modulus = {ws.modulus}"]
-    for name in sorted(ws.modules):
-        factors = ",".join(str(d) for d in ws.modules[name].factors)
-        lines.append(f"[module {name}] factors = {factors or '-'}")
-    module_names = {id(m): n for n, m in ws.modules.items()}
-    for name in sorted(ws.algebras):
-        A = ws.algebras[name]
-        modname = next(
-            (n for n in sorted(ws.modules) if ws.modules[n] == A.module), None
-        )
-        parts = [f"[algebra {name}] module = {modname}"]
-        for f in sorted(A.ops):
-            op = A.ops[f]
-            if not op.table:
-                parts.append(f"op {f}/{op.arity}")
-            for key, value in op.canonical_items():
-                idx = ",".join(str(i + 1) for i in key)
-                parts.append(f"op {f}/{op.arity}: ({idx}) -> {value}")
-        lines.append("; ".join(parts))
-    for name in sorted(ws.ideals):
-        ideal = ws.ideals[name]
-        aname = next(n for n in sorted(ws.algebras) if ws.algebras[n] == ideal.parent)
-        gens = ",".join(
-            str(g) for g in sorted(ideal.generators, key=lambda e: e.coords)
-        )
-        lines.append(f"[ideal {name}] algebra = {aname}; generators = {gens}")
-    for name in sorted(ws.varieties):
-        V = ws.varieties[name]
-        sig = ",".join(f"{f}/{a}" for f, a in V.signature.ops)
-        parts = [f"[variety {name}] signature = {sig or '-'}"]
-        if V.signature.bracket:
-            parts.append(f"bracket = {V.signature.bracket}")
-        for ident in V.identities:
-            lhs = print_term(ident.lhs, V.signature)
-            rhs = print_term(ident.rhs, V.signature)
-            parts.append(f'identity "{lhs} = {rhs}"')
-        lines.append("; ".join(parts))
-    for name in sorted(ws.actions):
-        act = ws.actions[name]
-        qname = next(n for n in sorted(ws.algebras) if ws.algebras[n] == act.Q)
-        iname = next(n for n in sorted(ws.algebras) if ws.algebras[n] == act.I)
-        parts = [f"[action {name}] Q = {qname}; I = {iname}"]
-        for f, s in act.slots():
-            table = act.tables[(f, s)]
-            arity = act.Q.op_arity(f)
-            off = act.off_slots(f, s)
-            for key in sorted(table, key=_reduced_key_order):
-                value = table[key]
-                if value.is_zero():
-                    continue
-                qoff, asub = key
-                qvec = [act.Q.module.zero()] * arity
-                for q, i in zip(qoff, off):
-                    qvec[i] = q
-                ivec = [act.I.module.zero()] * arity
-                for a, i in zip(asub, s):
-                    ivec[i] = a
-                qtxt = ",".join(str(q) for q in qvec)
-                itxt = ",".join(str(a) for a in ivec)
-                sname = ",".join(str(i + 1) for i in s)
-                parts.append(f"a({f},{sname}): ({qtxt}|{itxt}) -> {value}")
-        lines.append("; ".join(parts))
-    for name in sorted(ws.cocycles):
-        T = ws.cocycles[name]
-        aname = next(n for n in sorted(ws.actions) if ws.actions[n] == T.action)
-        parts = [f"[cocycle {name}] action = {aname}"]
-        for (x, y), v in sorted(
-            T.tplus.items(), key=lambda kv: (kv[0][0].coords, kv[0][1].coords)
-        ):
-            if not v.is_zero():
-                parts.append(f"Tplus: ({x},{y}) -> {v}")
-        if not T.telescoped():
-            for (r, x), v in sorted(
-                T.tr.items(), key=lambda kv: (kv[0][0], kv[0][1].coords)
-            ):
-                if not v.is_zero():
-                    parts.append(f"Tr {r}: ({x}) -> {v}")
-        for (f, xs), v in sorted(
-            T.tf.items(), key=lambda kv: (kv[0][0], tuple(x.coords for x in kv[0][1]))
-        ):
-            if not v.is_zero():
-                xtxt = ",".join(str(x) for x in xs)
-                parts.append(f"T{f}: ({xtxt}) -> {v}")
-        lines.append("; ".join(parts))
-    return "\n".join(lines) + "\n"
-

@@ -1,30 +1,40 @@
-"""Exhaustive oracles for routines that the library decides by a shorter route.
+"""Exhaustive oracles and reference descriptions for the tests.
 
-Each function checks its property by brute force, the way the library
-once did: on every element tuple, by trying every map, or by a
-hand-coded formula instead of the one realization routine.  The tests compare each library route with
-its oracle on random small data.
+The oracles check a property by brute force, the way the library once
+did: on every element tuple, by trying every map, or by a hand-coded
+formula instead of the one realization routine.  The reference
+descriptions are the paper's independent characterizations that no
+command runs: every lifting of an extension, realization by one
+lifting, the standard isomorphism onto the semidirect product, the
+stabilizing automorphisms, the module maps killing the commutator ideal
+and the lifting of a derivation pair.  The tests compare each library
+route with its oracle or reference on random small data.
 """
 
 import itertools
+from dataclasses import dataclass, replace
 
-from mlex.errors import ConsistencyError
+from mlex.errors import ConsistencyError, MlexError
 from mlex.modcore import (
     LinMap,
     abelian_decomposition,
-    hom_enumerate,
+    homs_where,
     iter_homs,
     mod_elements,
     solve_congruences,
 )
+from mlex.algebra import commutator, is_homomorphism, whole_ideal
 from mlex.cocycle import (
     Action,
     Cocycle,
     SemidirectProduct,
+    _extension_tables,
+    extract_cocycle,
+    matches,
     proper_subsets,
     substitute,
 )
-from mlex.derlie import is_derivation, lin_add, lin_bracket
+from mlex.derlie import _derivation_defects, lin_add, lin_bracket, twist_cocycle
 from mlex.cohomology import (
     _atom_tables,
     _twin_side_condition,
@@ -34,6 +44,138 @@ from mlex.cohomology import (
 )
 from mlex.expander import eval_sum, split
 from mlex import termlang
+
+
+# -- reference descriptions ----------------------------------------------------
+
+
+def all_liftings(E):
+    """Every section of E's projection fixing zero, in deterministic order."""
+    xs = [x for x in mod_elements(E.Q.module) if not x.is_zero()]
+    fibers = [
+        sorted((m for m in mod_elements(E.M.module) if E.pi(m) == x), key=lambda e: e.coords)
+        for x in xs
+    ]
+    out = []
+    for choice in itertools.product(*fibers):
+        lift = {E.Q.module.zero(): E.M.module.zero()}
+        lift.update(dict(zip(xs, choice)))
+        out.append(lift)
+    return out
+
+
+def with_lifting(E, lifting):
+    return replace(E, lifting=lifting)
+
+
+def realizes(E, T):
+    """Do the four realization equations hold for this extension/lifting?"""
+    return matches(_extension_tables(E), T)
+
+
+def psi_isomorphism(E, T=None):
+    """The standard map M -> I x Q for the extension's lifting, verified
+    as an isomorphism onto the semidirect product of its cocycle."""
+    T = T or extract_cocycle(E)
+    raw = SemidirectProduct(T)
+    inv = E.iota_inverse()
+    l = E.lifting
+
+    def psi(m):
+        x = E.pi(m)
+        return (inv[E.M.module.sub(m, l[x])], x)
+
+    table = {m: psi(m) for m in mod_elements(E.M.module)}
+    if len(set(table.values())) != len(table):
+        return None
+    for u in table:
+        for v in table:
+            if table[E.M.module.add(u, v)] != raw.add(table[u], table[v]):
+                return None
+        for r in range(E.M.module.modulus):
+            if table[E.M.module.scalar(r, u)] != raw.scalar(r, table[u]):
+                return None
+    for f, op in E.M.ops.items():
+        for args in itertools.product(list(table), repeat=op.arity):
+            if table[E.M.eval_op(f, args)] != raw.apply_op(f, [table[a] for a in args]):
+                return None
+    return table
+
+
+def stab_automorphisms(E):
+    """Automorphisms fixing the embedded kernel pointwise and commuting
+    with the projection, with the derivation dictionary attached."""
+    M = E.M
+    inv = E.iota_inverse()
+    auts = []
+    for phi in iter_homs(M.module, M.module):
+        if not phi.is_bijective():
+            continue
+        if any(phi(m) != m for m in inv):
+            continue
+        if any(E.pi(phi(m)) != E.pi(m) for m in mod_elements(M.module)):
+            continue
+        if not is_homomorphism(M, M, phi):
+            continue
+        auts.append(phi)
+
+    def to_derivation(phi):
+        return {
+            x: inv[M.module.sub(E.lifting[x], phi(E.lifting[x]))]
+            for x in mod_elements(E.Q.module)
+        }
+
+    return auts, to_derivation
+
+
+def hom_kill_commutator(Q, I):
+    """Independent description for central datum: module maps vanishing
+    on the commutator ideal of Q, by one congruence solve."""
+    qq = commutator(whole_ideal(Q), whole_ideal(Q))
+    maps = homs_where(Q.module, I.module, lambda phi: [phi(e) for e in qq.elements])
+    tables = [{x: phi(x) for x in mod_elements(Q.module)} for phi in maps]
+    return sorted(tables, key=lambda h: h_key(h, Q))
+
+
+def is_derivation(M, h):
+    """Module endomap satisfying the product rule on every operation."""
+    if h.source != M.module or h.target != M.module:
+        return False
+    return all(d.is_zero() for d in _derivation_defects(M, h))
+
+
+@dataclass
+class LiftResult:
+    ok: bool
+    obstruction: str | None
+    derivation: LinMap | None
+
+
+def lift_pair(pair, T):
+    """Pair lift (a, x) -> (alpha a, beta x) on the semidirect product,
+    or the first failing linearity condition."""
+    alpha, beta = pair
+    if not T.is_group_trivial_table():
+        raise MlexError("pair lifting requires a cocycle with zero group factor set")
+    if not T.is_linear():
+        raise MlexError("pair lifting requires a linear cocycle")
+    # C1 and C3 hold iff the twisted scalar and operation factor sets vanish
+    S = twist_cocycle(T, pair)
+    for clause, table in (("C1", S.tr), ("C3", S.tf)):
+        if any(not v.is_zero() for v in table.values()):
+            return LiftResult(False, clause, None)
+    E, encode, decode = SemidirectProduct(T).extension_record()
+    images = []
+    for g in E.M.module.generators():
+        a, x = decode[g]
+        images.append(encode[(alpha(a), beta(x))])
+    phi = LinMap(E.M.module, E.M.module, tuple(images))
+    if not is_derivation(E.M, phi):
+        raise ConsistencyError("pair lift passed C1-C3 but is not a derivation")
+    return LiftResult(True, None, phi)
+
+
+# -- exhaustive oracles --------------------------------------------------------
 
 
 def all_witness_maps(Q, I):
@@ -244,9 +386,9 @@ def first_box_helper(datum, d_I):
 
 
 def exhaustive_derivations_of(M):
-    """All derivations of M: every endomorphism, in ``hom_enumerate``
-    order, tried against the product rule."""
-    out = [h for h in hom_enumerate(M.module, M.module) if is_derivation(M, h)]
+    """All derivations of M: every endomorphism, in ``iter_homs`` order,
+    tried against the product rule."""
+    out = [h for h in iter_homs(M.module, M.module) if is_derivation(M, h)]
     keys = {d.images for d in out}
     for d1 in out:
         for d2 in out:

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from mlex.modcore import LinMap, ZmModule, hom_enumerate, mod_elements
+from mlex.modcore import LinMap, ZmModule, iter_homs, mod_elements
 from mlex.algebra import Algebra, MultilinearOp, commutator, is_homomorphism, whole_ideal
 from mlex.termlang import (
     Apply,
@@ -33,7 +33,6 @@ from mlex.cocycle import (
     is_compatible,
     kernel_kind,
     mlf_variety,
-    psi_isomorphism,
     realizes_raw,
 )
 from mlex.cohomology import (
@@ -42,13 +41,18 @@ from mlex.cohomology import (
     enumerate_h2,
     h2_affine,
     h_key,
-    hom_kill_commutator,
-    stab_automorphisms,
 )
 from mlex.derlie import verify_wells
 from mlex.expander import action_identity, soundness_check, strict_identity
 from mlex.hs import HSDatum, verify_hs
 from mlex.cli import main as cli_main
+from oracles import (
+    all_liftings,
+    hom_kill_commutator,
+    psi_isomorphism,
+    stab_automorphisms,
+    with_lifting,
+)
 from fixture_lib import (
     F2_FILE,
     HS_FILE,
@@ -121,8 +125,8 @@ def test_02_representation_round_trip():
     I_alg, iota, _ = subalgebra(F2, ideal.elements)
     E = ExtensionRecord(F2, Qc, I_alg, pi, iota, dict(section))
     E.validate()
-    for lifting in E.all_liftings():
-        Ex = E.with_lifting(lifting)
+    for lifting in all_liftings(E):
+        Ex = with_lifting(E, lifting)
         if psi_isomorphism(Ex) is None:
             ok = False
         checked += 1
@@ -134,7 +138,7 @@ def stabilizing_isomorphism_exists(E1, E2):
     if E1.M.module != E2.M.module:
         return False
     kernel_pairs = [(a, E1.iota(a)) for a in mod_elements(E1.I.module)]
-    for phi in hom_enumerate(E1.M.module, E2.M.module):
+    for phi in iter_homs(E1.M.module, E2.M.module):
         if not phi.is_bijective():
             continue
         if any(phi(img) != E2.iota(a) for a, img in kernel_pairs):
@@ -154,8 +158,8 @@ def test_03_equivalence_matches_lifting_changes():
     pairs_checked = 0
     for T in compat:
         E, _, _ = SemidirectProduct(T).extension_record()
-        lifts = E.all_liftings()
-        cocycles = [extract_cocycle(E.with_lifting(l)) for l in lifts]
+        lifts = all_liftings(E)
+        cocycles = [extract_cocycle(with_lifting(E, l)) for l in lifts]
         for Ta in cocycles:
             for Tb in cocycles:
                 pairs_checked += 1

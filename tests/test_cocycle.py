@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from mlex.errors import ConsistencyError, MlexError, ValidationError
-from mlex.modcore import LinMap, ZmModule, mod_elements, hom_enumerate
+from mlex.modcore import LinMap, ZmModule, mod_elements
 from mlex.algebra import Algebra, MultilinearOp, find_isomorphism, is_homomorphism
 from mlex.termlang import Signature, Variety, parse_identity
 from mlex.cocycle import (
@@ -21,11 +21,9 @@ from mlex.cocycle import (
     is_h2_morphism,
     kernel_kind,
     mlf_variety,
-    psi_isomorphism,
-    realizes,
     realizes_raw,
 )
-from oracles import all_witness_maps
+from oracles import all_liftings, all_witness_maps, psi_isomorphism, realizes, with_lifting
 from strategies import cocycles
 from fixture_lib import (
     all_f1_cocycles,
@@ -210,11 +208,11 @@ def test_extract_rejects_liftings_that_are_not_sections():
     moved = dict(E.lifting)
     moved[e1] = E.lifting[e2]
     with pytest.raises(ConsistencyError, match="^group factor set landed outside"):
-        extract_cocycle(E.with_lifting(moved))
+        extract_cocycle(with_lifting(E, moved))
     # swapping the fibres is additive, but f(e1, e1) = e1 while f(e2, e2) = 0
     swapped = {x: E.lifting[Z22.element(x.coords[::-1])] for x in mod_elements(Z22)}
     with pytest.raises(ConsistencyError, match="^factor set for f landed outside"):
-        extract_cocycle(E.with_lifting(swapped))
+        extract_cocycle(with_lifting(E, swapped))
 
 
 def test_extract_round_trip(datum):
@@ -249,16 +247,17 @@ def test_extracted_cocycles_telescope(datum):
         if not raw.is_legal():
             continue
         E, _, _ = raw.extension_record()
-        for lifting in E.all_liftings():
-            assert extract_cocycle(E.with_lifting(lifting)).telescoped()
+        for lifting in all_liftings(E):
+            T = extract_cocycle(with_lifting(E, lifting))
+            assert T.tr == T._telescoped_tr()
 
 
 def test_liftings_give_equivalent_cocycles(datum):
     T = f2_cocycle()
     E, _, _ = SemidirectProduct(T).extension_record()
-    lifts = E.all_liftings()
+    lifts = all_liftings(E)
     assert len(lifts) == 2
-    cocycles = [extract_cocycle(E.with_lifting(l)) for l in lifts]
+    cocycles = [extract_cocycle(with_lifting(E, l)) for l in lifts]
     for Ta in cocycles:
         for Tb in cocycles:
             assert equivalent(Ta, Tb) is not None
@@ -489,10 +488,10 @@ def test_lifting_difference_is_coboundary_mod4():
 
     E = ExtensionRecord(M, Q, I_alg, pi, iota, dict(section))
     E.validate()
-    lifts = E.all_liftings()
+    lifts = all_liftings(E)
     assert len(lifts) == 2
-    Ta = extract_cocycle(E.with_lifting(lifts[0]))
-    Tb = extract_cocycle(E.with_lifting(lifts[1]))
+    Ta = extract_cocycle(with_lifting(E, lifts[0]))
+    Tb = extract_cocycle(with_lifting(E, lifts[1]))
     h = {
         x: to_I[M.module.sub(lifts[0][x], lifts[1][x])]
         for x in mod_elements(Q.module)
@@ -520,7 +519,7 @@ def test_nonabelian_kernel_coboundary_shifts_action(datum):
     raw = SemidirectProduct(T)
     assert raw.is_legal()
     E, _, _ = raw.extension_record()
-    cocycles = [extract_cocycle(E.with_lifting(l)) for l in E.all_liftings()]
+    cocycles = [extract_cocycle(with_lifting(E, l)) for l in all_liftings(E)]
     assert any(
         ca.action != cb.action for ca in cocycles for cb in cocycles
     )
@@ -548,8 +547,8 @@ def test_h2_morphism_predicate(datum):
     assert is_h2_morphism(T, T, ident, zero_h, LinMap.identity(Q.module), emend=True)
     # equivalence witnesses are morphisms with identity components
     E, _, _ = SemidirectProduct(T).extension_record()
-    lifts = E.all_liftings()
-    Ta, Tb = (extract_cocycle(E.with_lifting(l)) for l in lifts)
+    lifts = all_liftings(E)
+    Ta, Tb = (extract_cocycle(with_lifting(E, l)) for l in lifts)
     h = equivalent(Ta, Tb)
     assert is_h2_morphism(
         Ta, Tb, ident, h, LinMap.identity(Q.module), emend=True

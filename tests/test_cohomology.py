@@ -16,16 +16,16 @@ from mlex.cocycle import (
     is_compatible,
     mlf_variety,
 )
+from mlex import cohomology
 from mlex.cohomology import (
     derivations,
     enumerate_h2,
     h1,
     h2_affine,
     h_key,
-    hom_kill_commutator,
     principal_derivations,
-    stab_automorphisms,
 )
+from oracles import all_liftings, hom_kill_commutator, psi_isomorphism, stab_automorphisms
 from fixture_lib import (
     f1_datum,
     f2_cocycle,
@@ -254,7 +254,7 @@ def test_zero_class_iff_split(datum):
         for T in cls.members:
             E, _, _ = SemidirectProduct(T).extension_record()
             has_hom_lift = False
-            for lifting in E.all_liftings():
+            for lifting in all_liftings(E):
                 hom = all(
                     lifting[Q.module.add(x, y)]
                     == E.M.module.add(lifting[x], lifting[y])
@@ -290,8 +290,6 @@ def test_mixed_factor_datum_h2():
     for cls in classes[:3]:
         raw = SemidirectProduct(cls.representative)
         E, _, _ = raw.extension_record()
-        from mlex.cocycle import psi_isomorphism
-
         assert psi_isomorphism(E) is not None
         A, _, _ = raw.to_algebra()
         reducts.add(A.module.factors)
@@ -440,3 +438,28 @@ def test_first_cohomology_does_not_depend_on_the_kernel_presentation(q, r, unit,
     got = first_cohomology_summary(Q, I6, action)
     assert got == first_cohomology_summary(Q, I23, with_kernel(action, I23, TO_Z23, TO_Z6))
     assert got == expected
+
+
+def test_principal_derivations_test_each_accepted_table_once(monkeypatch):
+    """Q = I = Z6 with a(f, {2})(x | a) = 2xa: almost every depth-3
+    candidate is the zero map.  A table the twin condition has accepted is
+    not tested again; a rejected one may be, under other meta."""
+    calls = []
+    twin = cohomology._twin_side_condition
+
+    def counted(raw, d, meta):
+        ok = twin(raw, d, meta)
+        calls.append((h_key(d, raw.Q), ok))
+        return ok
+
+    monkeypatch.setattr(cohomology, "_twin_side_condition", counted)
+    Q, I = zero_op(Z6), zero_op(Z6)
+    res = principal_derivations(Q, I, scaled_action(Q, I, 2))
+    accepted = set()
+    for key, ok in calls:
+        assert key not in accepted
+        if ok:
+            accepted.add(key)
+    zero = h_key({x: I.module.zero() for x in mod_elements(Q.module)}, Q)
+    assert accepted == {zero}
+    assert [h_key(d, Q) for d in res.maps] == [zero] and not res.complete

@@ -11,7 +11,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from mlex.modcore import LinMap, hom_enumerate, mod_elements
+from mlex.modcore import LinMap, iter_homs, mod_elements
 from mlex.algebra import Algebra, MultilinearOp, is_homomorphism
 from mlex.cocycle import SemidirectProduct
 
@@ -30,7 +30,7 @@ def isomorphisms_onto(draw, Q):
     automorphism of Q's module and R carries Q's operations back along
     it, so R is Q itself when phi is an algebra automorphism of Q."""
     phi = draw(
-        st.sampled_from([p for p in hom_enumerate(Q.module, Q.module) if p.is_bijective()])
+        st.sampled_from([p for p in iter_homs(Q.module, Q.module) if p.is_bijective()])
     )
     inverse = {phi(x): x for x in mod_elements(Q.module)}
     gens = Q.module.generators()
