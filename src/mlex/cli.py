@@ -19,7 +19,7 @@ from .algebra import series as algebra_series
 from . import termlang
 from .cocycle import (
     SemidirectProduct,
-    _reduced_key_order,
+    _fmt,
     _show_pair,
     decompose,
     equivalent,
@@ -177,25 +177,19 @@ def cmd_extract(args):
     E.validate()
     T = extract_cocycle(E)
     lines = [f"quotient module {Q.module}", f"kernel module {I_alg.module}"]
-    for (x, y), v in sorted(T.tplus.items(), key=lambda kv: (kv[0][0].coords, kv[0][1].coords)):
+    for (x, y), v in T.tplus.items():
         if not v.is_zero():
             lines.append(f"Tplus: ({x},{y}) -> {v}")
-    for (r, x), v in sorted(T.tr.items(), key=lambda kv: (kv[0][0], kv[0][1].coords)):
+    for (r, x), v in T.tr.items():
         if not v.is_zero():
             lines.append(f"Tr {r}: ({x}) -> {v}")
-    for (f, xs), v in sorted(T.tf.items(), key=lambda kv: (kv[0][0], tuple(x.coords for x in kv[0][1]))):
+    for (f, xs), v in T.tf.items():
         if not v.is_zero():
-            lines.append(f"T{f}: ({','.join(str(x) for x in xs)}) -> {v}")
-    for f, s in T.action.slots():
-        table = T.action.tables[(f, s)]
-        for key in sorted(table, key=_reduced_key_order):
-            v = table[key]
+            lines.append(f"T{f}: ({_fmt(xs)}) -> {v}")
+    for (f, s), table in T.action.tables.items():
+        for (qoff, asub), v in table.items():
             if not v.is_zero():
-                sname = ",".join(str(i + 1) for i in s)
-                lines.append(
-                    f"a({f},{sname}): ({','.join(str(q) for q in key[0])}|"
-                    f"{','.join(str(a) for a in key[1])}) -> {v}"
-                )
+                lines.append(f"a({f},{_fmt(i + 1 for i in s)}): ({_fmt(qoff)}|{_fmt(asub)}) -> {v}")
     kinds = kernel_kind(T)
     lines.append(f"kernel abelian: {kinds['abelian']}; central: {kinds['central']}")
     _print_report(lines, args.json, {"kernel": kinds})
@@ -273,22 +267,16 @@ def cmd_h2(args):
 
 def _cocycle_line(T):
     bits = []
-    for (x, y), v in sorted(T.tplus.items(), key=lambda kv: (kv[0][0].coords, kv[0][1].coords)):
+    for (x, y), v in T.tplus.items():
         if not v.is_zero():
             bits.append(f"T+({x},{y})={v}")
-    for (f, xs), v in sorted(T.tf.items(), key=lambda kv: (kv[0][0], tuple(x.coords for x in kv[0][1]))):
+    for (f, xs), v in T.tf.items():
         if not v.is_zero():
-            bits.append(f"T{f}({','.join(str(x) for x in xs)})={v}")
-    for f, s in T.action.slots():
-        table = T.action.tables[(f, s)]
-        for key in sorted(table, key=_reduced_key_order):
-            v = table[key]
+            bits.append(f"T{f}({_fmt(xs)})={v}")
+    for (f, s), table in T.action.tables.items():
+        for (qoff, asub), v in table.items():
             if not v.is_zero():
-                sname = ",".join(str(i + 1) for i in s)
-                bits.append(
-                    f"a({f},{sname})({','.join(str(q) for q in key[0])}|"
-                    f"{','.join(str(a) for a in key[1])})={v}"
-                )
+                bits.append(f"a({f},{_fmt(i + 1 for i in s)})({_fmt(qoff)}|{_fmt(asub)})={v}")
     return "; ".join(bits) if bits else "zero cocycle"
 
 
@@ -351,11 +339,9 @@ def cmd_derivations(args):
 def cmd_wells(args):
     ws = wsmod.load(args.fixture)
     T = ws.cocycle(args.cocycle)
-    raw = SemidirectProduct(T)
-    if not raw.is_legal():
+    if not SemidirectProduct(T).is_legal():
         raise MlexError("the cocycle's semidirect product is not a legal algebra")
-    E, _, _ = raw.extension_record()
-    report = verify_wells(E, T, depth=args.depth)
+    report = verify_wells(T, depth=args.depth)
     lines = report.lines()
     lines.append(
         f"ideal-preserving derivations: {report.der_ideal_count}; "
@@ -466,10 +452,10 @@ def build_parser():
         if fixture:
             sp.add_argument("--fixture", "--datum", dest="fixture", required=True)
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--seed", type=int, default=20240501)
 
     sp = sub.add_parser("check", help="load, validate, and self-test a workspace")
     common(sp)
+    sp.add_argument("--seed", type=int, default=20240501)
     sp.add_argument("--samples", type=int, default=10)
     sp.set_defaults(func=cmd_check)
 
@@ -550,7 +536,6 @@ def build_parser():
     sp.add_argument("--no-cancel", action="store_true")
     sp.add_argument("--sexp", action="store_true")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--seed", type=int, default=20240501)
     sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("decompose", help="solvable/nilpotent tower decomposition")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, MlexError, ValidationError
@@ -51,7 +52,10 @@ class Action:
     nonempty proper slot subset s.
 
     Values depend only on the Q-entries outside s and the I-entries
-    inside s, so tables are keyed by that restriction.
+    inside s, so tables are keyed by that restriction.  Every table is
+    complete and stored in canonical order: operations by name, slot
+    subsets as ``proper_subsets`` lists them, keys as ``action_keys``
+    lists them.
     """
 
     def __init__(self, Q, I, tables=None):
@@ -61,26 +65,19 @@ class Action:
             raise MlexError("datum algebras use different moduli")
         self.Q = Q
         self.I = I
-        self.tables = {}
-        for f, op in Q.ops.items():
-            for s in proper_subsets(op.arity):
-                self.tables[(f, s)] = {}
-        for key, table in (tables or {}).items():
+        tables = tables or {}
+        zero = I.module.zero()
+        self.tables = {
+            (f, s): _filled(action_keys(Q, I, op.arity, s), tables.get((f, s), {}), zero)
+            for f, op in sorted(Q.ops.items())
+            for s in proper_subsets(op.arity)
+        }
+        for key in tables:
             if key not in self.tables:
                 raise MlexError(f"no action slot {key!r} in this signature")
-            self.tables[key] = dict(table)
-        self._complete()
-
-    def _complete(self):
-        for (f, s), table in self.tables.items():
-            n = self.Q.op_arity(f)
-            off = [i for i in range(n) if i not in s]
-            for qoff in itertools.product(mod_elements(self.Q.module), repeat=len(off)):
-                for asub in itertools.product(mod_elements(self.I.module), repeat=len(s)):
-                    table.setdefault((qoff, asub), self.I.module.zero())
 
     def slots(self):
-        return sorted(self.tables, key=lambda k: (k[0], len(k[1]), k[1]))
+        return list(self.tables)
 
     def off_slots(self, f, s):
         return tuple(i for i in range(self.Q.op_arity(f)) if i not in s)
@@ -146,20 +143,12 @@ class Action:
         for (f, s), table in self.tables.items():
             tables[(f, s)] = {
                 (qoff, asub): table[(tuple(phi(q) for q in qoff), asub)]
-                for qoff in itertools.product(
-                    mod_elements(R.module), repeat=len(self.off_slots(f, s))
-                )
-                for asub in itertools.product(mod_elements(self.I.module), repeat=len(s))
+                for qoff, asub in action_keys(R, self.I, R.op_arity(f), s)
             }
         return Action(R, self.I, tables)
 
     def canonical_key(self):
-        out = []
-        for f, s in self.slots():
-            table = self.tables[(f, s)]
-            for key in sorted(table, key=_reduced_key_order):
-                out.append(table[key].coords)
-        return tuple(out)
+        return tuple(v.coords for table in self.tables.values() for v in table.values())
 
     def same_datum(self, other):
         return self.Q == other.Q and self.I == other.I
@@ -172,9 +161,22 @@ class Action:
         )
 
 
-def _reduced_key_order(key):
-    qoff, asub = key
-    return (tuple(q.coords for q in qoff), tuple(a.coords for a in asub))
+def action_keys(Q, I, n, s):
+    """The keys (qoff, asub) of an n-ary table a(f, s): quotient entries
+    outside s, then kernel entries in s, in ``mod_elements`` product
+    order.  Keys that share qoff share one tuple object and come in one
+    run."""
+    return itertools.product(
+        itertools.product(mod_elements(Q.module), repeat=n - len(s)),
+        itertools.product(mod_elements(I.module), repeat=len(s)),
+    )
+
+
+def _filled(keys, cells, zero):
+    """The table over keys, in their order: the given cells, zero elsewhere."""
+    table = dict.fromkeys(keys, zero)
+    table.update(cells)
+    return table
 
 
 def _fmt(vec):
@@ -226,27 +228,20 @@ def enumerate_actions(Q, I, budget=None):
 
 
 def _action_from_generator_tables(Q, I, gen_tables):
-    """Extend generator-level tables multilinearly to a full Action."""
+    """Extend generator-level tables multilinearly to a full Action; cells
+    with a zero outside-slot entry stay zero."""
     tables = {}
-    for f, op in Q.ops.items():
-        n = op.arity
-        for s in proper_subsets(n):
-            off = tuple(i for i in range(n) if i not in s)
-            table = {}
-            gen_cells = gen_tables.get((f, s), {})
-            for qoff in itertools.product(mod_elements(Q.module), repeat=len(off)):
-                zero_forced = any(q.is_zero() for q in qoff)
-                slot_op = MultilinearOp(
-                    f,
-                    len(s),
-                    I.module,
-                    {g: v for (q, g), v in gen_cells.items() if q == qoff},
-                )
-                for asub in itertools.product(mod_elements(I.module), repeat=len(s)):
-                    table[(qoff, asub)] = (
-                        I.module.zero() if zero_forced else slot_op(*asub)
-                    )
-            tables[(f, s)] = table
+    for (f, s), gen_cells in gen_tables.items():
+        table = tables[(f, s)] = {}
+        for qoff, keys in itertools.groupby(
+            action_keys(Q, I, Q.op_arity(f), s), key=operator.itemgetter(0)
+        ):
+            if any(q.is_zero() for q in qoff):
+                continue
+            slot_op = MultilinearOp(
+                f, len(s), I.module, {g: v for (q, g), v in gen_cells.items() if q == qoff}
+            )
+            table.update((key, slot_op(*key[1])) for key in keys)
     return Action(Q, I, tables)
 
 
@@ -255,29 +250,25 @@ class Cocycle:
 
     Tables are dense: every argument tuple has an explicit entry, and
     the normalization cells demanded by conditions T1-T3 are validated.
+    They are stored in canonical order: ``tplus`` over (x, y), ``tr`` over
+    (r, x), ``tf`` over operations by name, then argument tuples, each in
+    ``mod_elements`` product order.
     """
 
     def __init__(self, action, tplus, tr, tf):
-        self.action = action
-        self.Q = action.Q
-        self.I = action.I
-        self.tplus = dict(tplus)
-        self.tr = dict(tr)
-        self.tf = dict(tf)
-        self._fill()
-
-    def _fill(self):
-        zero = self.I.module.zero()
-        qs = mod_elements(self.Q.module)
-        for x in qs:
-            for y in qs:
-                self.tplus.setdefault((x, y), zero)
-        for r in range(self.Q.module.modulus):
-            for x in qs:
-                self.tr.setdefault((r, x), zero)
-        for f, op in self.Q.ops.items():
-            for xs in itertools.product(qs, repeat=op.arity):
-                self.tf.setdefault((f, xs), zero)
+        self.action, self.Q, self.I = action, action.Q, action.I
+        qs, zero = mod_elements(self.Q.module), self.I.module.zero()
+        self.tplus = _filled(itertools.product(qs, repeat=2), tplus, zero)
+        self.tr = _filled(itertools.product(range(self.Q.module.modulus), qs), tr, zero)
+        self.tf = _filled(
+            (
+                (f, xs)
+                for f, op in sorted(self.Q.ops.items())
+                for xs in itertools.product(qs, repeat=op.arity)
+            ),
+            tf,
+            zero,
+        )
 
     def validate(self):
         zeroQ = self.Q.module.zero()
@@ -384,23 +375,9 @@ class Cocycle:
         )
 
     def canonical_key(self):
-        qs = mod_elements(self.Q.module)
-        key = [self.action.canonical_key()]
-        key.append(tuple(self.tplus[(x, y)].coords for x in qs for y in qs))
-        key.append(
-            tuple(
-                self.tr[(r, x)].coords
-                for r in range(self.Q.module.modulus)
-                for x in qs
-            )
+        return (self.action.canonical_key(),) + tuple(
+            tuple(v.coords for v in table.values()) for table in (self.tplus, self.tr, self.tf)
         )
-        tf_part = []
-        for f in sorted(self.Q.ops):
-            arity = self.Q.op_arity(f)
-            for xs in itertools.product(qs, repeat=arity):
-                tf_part.append(self.tf[(f, xs)].coords)
-        key.append(tuple(tf_part))
-        return tuple(key)
 
     def __eq__(self, other):
         return (
@@ -711,8 +688,8 @@ def _realized_tables(Q, I, carrier, lift, embed, down):
     and operation factor sets and the action tables, keyed as in a
     Cocycle; an entry is None where its equation leaves the kernel.
     Action terms depend only on the quotient entries outside the slot
-    subset and the kernel entries inside it, so only those keys are
-    evaluated.
+    subset and the kernel entries inside it, so only the ``action_keys``
+    are evaluated, with one lift per run of outside-slot entries.
     """
     qs = mod_elements(Q.module)
     add, neg = carrier.add, carrier.neg
@@ -739,15 +716,14 @@ def _realized_tables(Q, I, carrier, lift, embed, down):
             tf[(f, xs)] = defect(carrier.apply_op(f, [lift(x) for x in xs]), Q.eval_op(f, xs))
         for s in proper_subsets(n):
             off = tuple(i for i in range(n) if i not in s)
-            table = {}
-            for qoff in itertools.product(qs, repeat=len(off)):
-                lifted = [None] * n
-                for i, q in zip(off, qoff):
-                    lifted[i] = lift(q)
-                for asub in itertools.product(mod_elements(I.module), repeat=len(s)):
-                    subbed = substitute(lifted, s, [embed(a) for a in asub])
-                    table[(qoff, asub)] = down(carrier.apply_op(f, subbed))
-            action_tables[(f, s)] = table
+            table = action_tables[(f, s)] = {}
+            for qoff, keys in itertools.groupby(
+                action_keys(Q, I, n, s), key=operator.itemgetter(0)
+            ):
+                lifted = substitute([None] * n, off, [lift(q) for q in qoff])
+                for key in keys:
+                    subbed = substitute(lifted, s, [embed(a) for a in key[1]])
+                    table[key] = down(carrier.apply_op(f, subbed))
     return tplus, tr, tf, action_tables
 
 

@@ -31,6 +31,7 @@ from .cocycle import (
     is_compatible,
     matches,
     relift,
+    substitute,
 )
 
 
@@ -351,10 +352,6 @@ def h2_affine(Q, I, action, V):
 # -- derivations of datum, stabilizers, first cohomology ------------------------
 
 
-def h_key(h, Q):
-    return tuple(h[x].coords for x in mod_elements(Q.module))
-
-
 def derivations(Q, I, action):
     """All maps h with null coboundary, sorted by their value tables.
 
@@ -386,81 +383,39 @@ def _atom_tables(Q, I, action, depth):
 
     Each entry is (value table over Q, meta) where meta is the recursive
     description ("atom", f, s, pattern, consts, pos, inner_meta); leaves
-    have pos = None."""
-    Qm, Im = Q.module, I.module
-    nonzero_scalars = list(range(1, Qm.modulus))
+    have pos = None.  At x the term a(f, s) reads the outside-slot entries
+    r*x for r in pattern and the kernel entries consts, with the inner
+    candidate's value at x in place pos."""
+    Qm = Q.module
     qs = mod_elements(Qm)
+    gens = [I.module.generator(j) for j in range(I.module.rank)]
 
-    def q_vec(pattern, off, n, x):
-        vec = [Qm.zero()] * n
-        for r, i in zip(pattern, off):
-            vec[i] = Qm.scalar(r, x)
-        return vec
+    def terms(inner_table, inner_meta):
+        """The candidates one term above the inner one, or the leaves."""
+        for (f, s), table in action.tables.items():
+            n_off = Q.op_arity(f) - len(s)
+            for pattern in itertools.product(range(1, Qm.modulus), repeat=n_off):
+                qoffs = [tuple(Qm.scalar(r, x) for r in pattern) for x in qs]
+                for pos in [None] if inner_meta is None else range(len(s)):
+                    for consts in itertools.product(gens, repeat=len(s)):
+                        asubs = (
+                            [consts] * len(qs)
+                            if pos is None
+                            else [substitute(consts, (pos,), (v,)) for v in inner_table]
+                        )
+                        yield (
+                            tuple(table[key] for key in zip(qoffs, asubs)),
+                            ("atom", f, s, pattern, consts, pos, inner_meta),
+                        )
 
-    level = []
-    for f, s in action.slots():
-        n = Q.op_arity(f)
-        off = action.off_slots(f, s)
-        for pattern in itertools.product(nonzero_scalars, repeat=len(off)):
-            for consts in itertools.product(
-                [Im.generator(j) for j in range(Im.rank)], repeat=len(s)
-            ):
-                table = tuple(
-                    action.value(
-                        f,
-                        s,
-                        q_vec(pattern, off, n, x),
-                        _avec(n, s, consts),
-                    )
-                    for x in qs
-                )
-                level.append((table, ("atom", f, s, pattern, consts, None, None)))
+    level = list(terms(None, None))
     atoms = list(level)
     for _ in range(depth - 1):
-        nxt = []
-        for table, inner_meta in level:
-            inner = dict(zip(qs, table))
-            for f, s in action.slots():
-                n = Q.op_arity(f)
-                off = action.off_slots(f, s)
-                for pattern in itertools.product(nonzero_scalars, repeat=len(off)):
-                    for pos in range(len(s)):
-                        for consts in itertools.product(
-                            [Im.generator(j) for j in range(Im.rank)],
-                            repeat=len(s),
-                        ):
-                            new_table = []
-                            for x in qs:
-                                avals = list(consts)
-                                avals[pos] = inner[x]
-                                new_table.append(
-                                    action.value(
-                                        f,
-                                        s,
-                                        q_vec(pattern, off, n, x),
-                                        _avec(n, s, avals),
-                                    )
-                                )
-                            nxt.append(
-                                (
-                                    tuple(new_table),
-                                    ("atom", f, s, pattern, consts, pos, inner_meta),
-                                )
-                            )
-        atoms.extend(nxt)
-        level = nxt
+        level = [atom for inner in level for atom in terms(*inner)]
+        atoms.extend(level)
         if not level:
             break
     return atoms
-
-
-def _avec(n, s, values):
-    vec = [None] * n
-    for i, v in zip(s, values):
-        vec[i] = v
-    # entries outside s do not matter; reuse the first value's module zero
-    filler = values[0].module.zero() if values else None
-    return tuple(v if v is not None else filler for v in vec)
 
 
 def principal_derivations(Q, I, action, depth=3):
@@ -475,18 +430,19 @@ def principal_derivations(Q, I, action, depth=3):
     if action.is_trivial():
         return PrincipalResult([zero], True, 0)
     ders = derivations(Q, I, action)
-    der_keys = {h_key(h, Q) for h in ders}
+    changes = LiftingChanges(Q, I)
+    der_keys = {changes.vector(h) for h in ders}
     raw = SemidirectProduct(Cocycle.zero(Q, I, action))
     qs = mod_elements(Q.module)
     good = {}  # accepted tables; a rejected one may pass under other meta
     for table, meta in _atom_tables(Q, I, action, depth):
         d = dict(zip(qs, table))
-        key = h_key(d, Q)
+        key = changes.vector(d)
         if key not in der_keys or key in good:
             continue
         if _twin_side_condition(raw, d, meta):
             good[key] = d
-    maps = LiftingChanges(Q, I).span(good.values())
+    maps = changes.span(good.values())
     complete = len(maps) == len(ders)
     return PrincipalResult(maps, complete, depth)
 

@@ -29,7 +29,6 @@ from .cocycle import (
     substitute,
 )
 from .cohomology import derivations as datum_derivations
-from .cohomology import h_key
 
 
 def lin_add(f, g):
@@ -327,10 +326,10 @@ def lie_variety(modulus):
     return termlang.Variety("lie", sig, ids)
 
 
-def verify_wells(E, T=None, depth=3):
+def verify_wells(T, depth=3):
     """Exactness report for the derivation sequence of a group-trivial
-    extension realizing affine datum, plus the semidirect corollary."""
-    T = T or extract_cocycle(E)
+    extension realizing affine datum with cocycle T, plus the semidirect
+    corollary."""
     if not (T.I.is_abelian() and T.is_linear()):
         raise MlexError("the derivation sequence needs affine datum")
     T0, witness = group_trivialize(T)
@@ -347,7 +346,8 @@ def verify_wells(E, T=None, depth=3):
 
     pairs = compatible_pairs(I, Q, T0.action)
     datum_ders = datum_derivations(Q, I, T0.action)
-    datum_keys = [h_key(h, Q) for h in datum_ders]
+    changes = LiftingChanges(Q, I)
+    datum_keys = {changes.vector(h) for h in datum_ders}
 
     # first arrow: datum derivation -> kernel-valued derivation of M
     def inflate(h):
@@ -366,7 +366,7 @@ def verify_wells(E, T=None, depth=3):
         )
         if not table_ok or phi.images not in {d.images for d in der_ideal}:
             arrows_are_derivations = False
-        inflated[h_key(h, Q)] = phi
+        inflated[changes.vector(h)] = phi
     checks["datum derivations inflate to ideal-preserving derivations"] = (
         arrows_are_derivations
     )
@@ -397,8 +397,8 @@ def verify_wells(E, T=None, depth=3):
         phi = LinMap(M.module, M.module, imgs)
         inv = E0.iota_inverse()
         table = {x: inv[phi(E0.lifting[x])] for x in mod_elements(Q.module)}
-        delta_keys.add(h_key(table, Q))
-    checks["kernel maps onto the datum derivations"] = delta_keys == set(datum_keys)
+        delta_keys.add(changes.vector(table))
+    checks["kernel maps onto the datum derivations"] = delta_keys == datum_keys
 
     # T0 is group-trivial, so these are the classes ``wells_map`` gives
     wells = {

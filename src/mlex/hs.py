@@ -22,10 +22,11 @@ from .cocycle import (
     Cocycle,
     ExtensionRecord,
     LiftingChanges,
+    action_keys,
     extract_cocycle,
     is_compatible,
 )
-from .cohomology import derivations, h1, h2_affine, h_key
+from .cohomology import derivations, h1, h2_affine
 
 
 def null_submodule(A, ideal_elements, action):
@@ -33,30 +34,28 @@ def null_submodule(A, ideal_elements, action):
     that carries an ideal entry, and closed under all action terms."""
     if not action.is_unary():
         raise MlexError("null submodule needs a purely unary action")
-    M, Am = action.Q, action.I
     ideal_elements = set(ideal_elements)
+    # (qoff, value) of every single-slot term, by its coefficient entry
+    slot_values = {a: [] for a in mod_elements(action.I.module)}
+    for (f, s), table in action.tables.items():
+        if len(s) == 1:
+            for (qoff, (a,)), value in table.items():
+                slot_values[a].append((qoff, value))
 
-    def slot_values(a):
-        for (f, s), table in action.tables.items():
-            if len(s) != 1:
-                continue
-            off = action.off_slots(f, s)
-            for qoff in itertools.product(mod_elements(M.module), repeat=len(off)):
-                yield qoff, table[(qoff, (a,))]
-
-    current = set()
-    for a in mod_elements(Am.module):
+    current = {
+        a
+        for a, terms in slot_values.items()
         if all(
             value.is_zero()
-            for qoff, value in slot_values(a)
+            for qoff, value in terms
             if any(q in ideal_elements for q in qoff)
-        ):
-            current.add(a)
+        )
+    }
     while True:
         nxt = {
             a
             for a in current
-            if all(value in current for _, value in slot_values(a))
+            if all(value in current for _, value in slot_values[a])
         }
         if nxt == current:
             break
@@ -75,21 +74,17 @@ def _restrict_action(action, coeff):
     """The action read on the coefficient subalgebra coeff, on the
     kernel side; its values must stay in that subalgebra."""
     tables = {}
-    AI = coeff.algebra
+    Q, AI = action.Q, coeff.algebra
     for (f, s), table in action.tables.items():
-        new = {}
-        for qoff in itertools.product(
-            mod_elements(action.Q.module), repeat=len(action.off_slots(f, s))
-        ):
-            for asub in itertools.product(mod_elements(AI.module), repeat=len(s)):
-                value = table[(qoff, tuple(coeff.embed(a) for a in asub))]
-                if value not in coeff.to_sub:
-                    raise ConsistencyError(
-                        "action does not close on the null submodule"
-                    )
-                new[(qoff, asub)] = coeff.to_sub[value]
-        tables[(f, s)] = new
-    return Action(action.Q, AI, tables)
+        new = tables[(f, s)] = {}
+        for qoff, asub in action_keys(Q, AI, Q.op_arity(f), s):
+            value = table[(qoff, tuple(coeff.embed(a) for a in asub))]
+            if value not in coeff.to_sub:
+                raise ConsistencyError(
+                    "action does not close on the null submodule"
+                )
+            new[(qoff, asub)] = coeff.to_sub[value]
+    return Action(Q, AI, tables)
 
 
 class HSDatum:
@@ -171,23 +166,14 @@ def square_condition(datum, d_I):
     annihilated.  The paper prints it as a two-sum identity that some
     helper map h: Q -> A must satisfy; every derivation this form accepts
     has such a helper."""
-    T = datum.T
-    Q, I_alg = datum.Q, datum.I_alg
-    AI = datum.coeff.algebra
-    for (f, s), table in T.action.tables.items():
-        off = T.action.off_slots(f, s)
-        for qoff in itertools.product(mod_elements(Q.module), repeat=len(off)):
-            for bsub in itertools.product(mod_elements(I_alg.module), repeat=len(s)):
-                value = table[(qoff, bsub)]
-                if len(s) == 1:
-                    expected = datum.induced.tables[(f, s)][
-                        (qoff, (d_I[bsub[0]],))
-                    ]
-                    if d_I[value] != expected:
-                        return False
-                else:
-                    if not d_I[value].is_zero():
-                        return False
+    for (f, s), table in datum.T.action.tables.items():
+        induced = datum.induced.tables[(f, s)]
+        for (qoff, bsub), value in table.items():
+            if len(s) == 1:
+                if d_I[value] != induced[(qoff, (d_I[bsub[0]],))]:
+                    return False
+            elif not d_I[value].is_zero():
+                return False
     return True
 
 
@@ -242,8 +228,9 @@ def verify_hs(datum, depth=3):
             )
     ders3 = derivations(I_alg, AI, datum.action_I_AI)
     G3 = [d for d in ders3 if square_condition(datum, d)]
-    keys3 = {h_key(d, I_alg) for d in G3}
-    checks["box derivations form a subgroup"] = LiftingChanges(I_alg, AI).is_subgroup(G3)
+    changes3 = LiftingChanges(I_alg, AI)
+    keys3 = {changes3.vector(d) for d in G3}
+    checks["box derivations form a subgroup"] = changes3.is_subgroup(G3)
     G4 = h2_affine(Q, AI, datum.induced, datum.variety)
     G5 = h2_affine(M, AI, datum.action_M_AI, datum.variety)
 
@@ -262,9 +249,7 @@ def verify_hs(datum, depth=3):
     restr = {}
     ok_members = True
     for idx, coset in enumerate(G2.cosets):
-        keys = {
-            h_key(restriction_derivation(datum, d), I_alg) for d in coset
-        }
+        keys = {changes3.vector(restriction_derivation(datum, d)) for d in coset}
         if len(keys) != 1:
             ok_members = False
         key = keys.pop()
@@ -274,8 +259,7 @@ def verify_hs(datum, depth=3):
         else:
             restr[idx] = key
     checks["restriction lands in the boxed kernel derivations"] = ok_members
-    zero3 = h_key({b: AI.module.zero() for b in mod_elements(I_alg.module)}, I_alg)
-    ker_r = {idx for idx, key in restr.items() if key == zero3}
+    ker_r = {idx for idx, key in restr.items() if key == changes3.zero}
     checks["image of inflation equals kernel of restriction"] = (
         set(infl.values()) == ker_r
     )
@@ -285,7 +269,7 @@ def verify_hs(datum, depth=3):
     trans = {}
     for d in G3:
         S = transgression(datum, d)
-        trans[h_key(d, I_alg)] = G4.class_of(S)
+        trans[changes3.vector(d)] = G4.class_of(S)
     im_r = {key for key in restr.values() if key is not None}
     ker_delta = {key for key, cls in trans.items() if cls == zero4}
     checks["image of restriction equals kernel of transgression"] = im_r == ker_delta

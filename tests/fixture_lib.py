@@ -341,3 +341,21 @@ a(f,2): ((3),(0)|(0,0),(1,0)) -> (0,1)
 a(f,2): ((3),(0)|(0,0),(0,1)) -> (1,0)
 a(f,2): ((3),(0)|(0,0),(1,1)) -> (1,1)
 """
+
+# Extensions and a datum whose reports print nonzero factor-set and action
+# cells: M = Z4 x Z2 over m = 4 by K = <(2,0)> has nonzero Tplus, Tr and Tf
+# cells, N = Z2^2 by L = <(1,0)> nonzero a(f,1) and a(f,2) cells, and h2
+# over Q = I = Z2 has classes with a nonzero T+.
+TABLE_ORDER_FILE = """\
+[ring] modulus = 4
+[module W] factors = 4,2
+[module Z] factors = 2
+[module V] factors = 2,2
+[algebra M] module = W; op f/2: (1,2) -> (2,0); op f/2: (2,2) -> (0,1)
+[ideal K] algebra = M; generators = (2,0)
+[algebra N] module = V; op f/2: (1,2) -> (1,0); op f/2: (2,1) -> (1,0); op f/2: (2,2) -> (1,0)
+[ideal L] algebra = N; generators = (1,0)
+[algebra Q] module = Z; op f/2
+[algebra I] module = Z; op f/2
+[action t0] Q = Q; I = I
+"""

@@ -39,7 +39,6 @@ from mlex.cohomology import (
     _atom_tables,
     _twin_side_condition,
     derivations,
-    h_key,
     multilinearity_identities,
 )
 from mlex.expander import eval_sum, split
@@ -47,6 +46,11 @@ from mlex import termlang
 
 
 # -- reference descriptions ----------------------------------------------------
+
+
+def h_key(h, Q):
+    """The value table of a map on Q, in ``mod_elements`` order."""
+    return tuple(h[x].coords for x in mod_elements(Q.module))
 
 
 def all_liftings(E):

@@ -22,6 +22,7 @@ from fixture_lib import (
     PAIR_CUT_FILE,
     ROTA_FILE,
     S3_FILE,
+    TABLE_ORDER_FILE,
 )
 
 
@@ -245,6 +246,17 @@ def test_decompose_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_seed_is_an_option_of_check_alone(f2, capsys):
+    """check draws its random terms from --seed; no other command reads
+    one, so passing it elsewhere is a usage error."""
+    with pytest.raises(SystemExit) as err:
+        main(["h1", "--fixture", f2, "--action", "t0", "--seed", "1"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, out = run(["check", "--fixture", f2, "--seed", "1"], capsys)
+    assert code == 0 and out.endswith("check OK\n")
+
+
 def test_json_reports(f2, capsys):
     code, out = run(
         ["h2", "--datum", f2, "--variety", "mlf", "--action", "t0", "--json"], capsys
@@ -299,6 +311,10 @@ GOLDEN_COMMANDS = REPORT_COMMANDS + [
     ["equivalent", "--fixture", "{f2}", "--left", "T", "--right", "T", "--morphism"],
     ["h2", "--datum", "{f2}", "--variety", "mlf"],
     ["expand", "--variety", "{rota}", "--emit", "general", "--sexp"],
+    ["extract", "--fixture", "{order}", "--algebra", "M", "--ideal", "K"],
+    ["extract", "--fixture", "{order}", "--algebra", "N", "--ideal", "L"],
+    ["h2", "--datum", "{order}", "--variety", "mlf", "--action", "t0"],
+    ["h2", "--datum", "{order}", "--variety", "mlf", "--action", "t0", "--affine"],
 ]
 
 FIXTURE_FILES = {
@@ -315,6 +331,7 @@ FIXTURE_FILES = {
     "paircut": PAIR_CUT_FILE,
     "affm4": AFFINE_M4_FILE,
     "rota": ROTA_FILE,
+    "order": TABLE_ORDER_FILE,
 }
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

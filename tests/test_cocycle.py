@@ -5,8 +5,8 @@ from hypothesis import given, settings
 
 from mlex.errors import ConsistencyError, MlexError, ValidationError
 from mlex.modcore import LinMap, ZmModule, mod_elements
-from mlex.algebra import Algebra, MultilinearOp, find_isomorphism, is_homomorphism
-from mlex.termlang import Signature, Variety, parse_identity
+from mlex.algebra import Algebra, MultilinearOp, find_isomorphism
+from mlex.termlang import Variety, parse_identity
 from mlex.cocycle import (
     Action,
     Cocycle,

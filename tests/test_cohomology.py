@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from mlex.errors import BudgetExceeded, MlexError
@@ -22,10 +20,9 @@ from mlex.cohomology import (
     enumerate_h2,
     h1,
     h2_affine,
-    h_key,
     principal_derivations,
 )
-from oracles import all_liftings, hom_kill_commutator, psi_isomorphism, stab_automorphisms
+from oracles import all_liftings, h_key, hom_kill_commutator, psi_isomorphism, stab_automorphisms
 from fixture_lib import (
     f1_datum,
     f2_cocycle,

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from mlex.errors import MlexError
@@ -9,7 +7,6 @@ from mlex.cocycle import (
     Action,
     Cocycle,
     SemidirectProduct,
-    extract_cocycle,
     is_compatible,
     mlf_variety,
 )
@@ -274,15 +271,13 @@ def test_verify_wells_fixtures():
     assert is_compatible(T4, mlf_variety(sig_f()))
     fixtures.append(T4)
     for T in fixtures:
-        E, _, _ = SemidirectProduct(T).extension_record()
-        report = verify_wells(E, T)
+        report = verify_wells(T)
         assert report.passed, report.checks
 
 
 def test_verify_wells_exactness_counts():
     T = f2_cocycle()
-    E, _, _ = SemidirectProduct(T).extension_record()
-    report = verify_wells(E, T)
+    report = verify_wells(T)
     assert report.der_ideal_count == 4
     assert report.pair_count == 4
     assert report.kernel_pairs == 2
@@ -305,8 +300,7 @@ def test_verify_wells_rank_two_quotient():
                 tf_cells[("f", (x, y))] = Zi.element((1,))
     T = Cocycle.from_cells(Action.trivial(Qb, Ib), tf_cells=tf_cells)
     assert is_compatible(T, mlf_variety(sig_f()))
-    E, _, _ = SemidirectProduct(T).extension_record()
-    report = verify_wells(E, T)
+    report = verify_wells(T)
     assert report.passed, report.checks
     assert report.der_ideal_count == 32
     assert report.kernel_pairs == 8

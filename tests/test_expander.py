@@ -2,8 +2,6 @@ import itertools
 import random
 import re
 
-import pytest
-
 from mlex.modcore import mod_elements
 from mlex.termlang import (
     Apply,

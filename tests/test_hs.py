@@ -3,16 +3,15 @@ import itertools
 import pytest
 
 from mlex.errors import ConsistencyError, MlexError
-from mlex.modcore import ZmModule, mod_elements
-from mlex.algebra import Algebra, MultilinearOp, ideal_generated, subalgebra
+from mlex.modcore import mod_elements
+from mlex.algebra import ideal_generated, subalgebra
 from mlex.cocycle import (
     Action,
     Cocycle,
     coboundary,
-    equivalent,
     mlf_variety,
 )
-from mlex.cohomology import derivations, h2_affine, h_key
+from mlex.cohomology import derivations, h2_affine
 from mlex import workspace
 from mlex.hs import (
     CoefficientEmbedding,
@@ -26,7 +25,7 @@ from mlex.hs import (
     transgression,
     verify_hs,
 )
-from oracles import all_witness_maps, first_box_helper
+from oracles import all_witness_maps, first_box_helper, h_key
 from fixture_lib import (
     HS_TWIST_FILE,
     f2_algebra,

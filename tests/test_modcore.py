@@ -10,7 +10,6 @@ from mlex.errors import MlexError
 from mlex.algebra import Algebra, MultilinearOp, ideal_generated, quotient
 from mlex.modcore import (
     Congruences,
-    Element,
     LinMap,
     Presentation,
     ZmModule,

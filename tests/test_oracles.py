@@ -60,7 +60,6 @@ from mlex.cohomology import (
     derivations,
     enumerate_h2,
     h1,
-    h_key,
 )
 from mlex.derlie import (
     check_jacobi,
@@ -83,6 +82,7 @@ from oracles import (
     exhaustive_derivations_of,
     exhaustive_is_homomorphism,
     full_cell_pair_is_compatible,
+    h_key,
     isomorphism_witness,
     pairwise_closed,
     per_assignment_soundness_check,

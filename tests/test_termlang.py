@@ -26,7 +26,6 @@ from mlex.termlang import (
     parse_identity,
     parse_term,
     print_term,
-    term_variables,
 )
 from fixture_lib import f1_datum, f2_algebra, leibniz_variety, sig_f, zero_binary_algebra
 
