@@ -341,7 +341,7 @@ def cmd_wells(args):
     T = ws.cocycle(args.cocycle)
     if not SemidirectProduct(T).is_legal():
         raise MlexError("the cocycle's semidirect product is not a legal algebra")
-    report = verify_wells(T, depth=args.depth)
+    report = verify_wells(T)
     lines = report.lines()
     lines.append(
         f"ideal-preserving derivations: {report.der_ideal_count}; "
@@ -515,7 +515,6 @@ def build_parser():
     sp = sub.add_parser("wells", help="verify the derivation exact sequence")
     common(sp)
     sp.add_argument("--cocycle", required=True)
-    sp.add_argument("--depth", type=int, default=3)
     sp.set_defaults(func=cmd_wells)
 
     sp = sub.add_parser("hs", help="verify the five-term exact sequence")

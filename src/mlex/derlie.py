@@ -326,7 +326,7 @@ def lie_variety(modulus):
     return termlang.Variety("lie", sig, ids)
 
 
-def verify_wells(T, depth=3):
+def verify_wells(T):
     """Exactness report for the derivation sequence of a group-trivial
     extension realizing affine datum with cocycle T, plus the semidirect
     corollary."""

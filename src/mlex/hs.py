@@ -29,7 +29,7 @@ from .cocycle import (
 from .cohomology import derivations, h1, h2_affine
 
 
-def null_submodule(A, ideal_elements, action):
+def null_submodule(ideal_elements, action):
     """Greatest submodule of the coefficients killed by every action term
     that carries an ideal entry, and closed under all action terms."""
     if not action.is_unary():
@@ -115,7 +115,7 @@ class HSDatum:
         self.E.validate()
         self.T = extract_cocycle(self.E)
         # null submodule and its algebra structure
-        null_set = null_submodule(A, ideal.elements, action)
+        null_set = null_submodule(ideal.elements, action)
         AI_alg, embed_AI, to_AI = subalgebra(A, null_set)
         self.coeff = CoefficientEmbedding(AI_alg, embed_AI, to_AI)
         self.null_set = null_set

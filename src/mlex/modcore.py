@@ -20,7 +20,8 @@ class ZmModule:
     """A finite Z/m-module with canonical generators e_1..e_k.
 
     ``factors[i]`` is the additive order of e_{i+1}; each must divide
-    ``modulus``.  The empty factor tuple is the zero module.
+    ``modulus``.  The empty factor tuple is the zero module.  The hash is
+    the dataclass one, hash((modulus, factors)), computed once.
     """
 
     modulus: int
@@ -35,6 +36,17 @@ class ZmModule:
                 raise MlexError(
                     f"cyclic order {d} does not divide the modulus {self.modulus}"
                 )
+        object.__setattr__(self, "_hash", hash((self.modulus, self.factors)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.modulus == other.modulus and self.factors == other.factors
 
     @property
     def rank(self):
@@ -84,7 +96,7 @@ class ZmModule:
         return self.add(a, self.neg(b))
 
     def _check(self, a):
-        if a.module != self:
+        if a.module is not self and a.module != self:
             raise MlexError(f"element {a} does not live in module {self}")
 
     def __str__(self):
@@ -95,8 +107,28 @@ class ZmModule:
 
 @dataclass(frozen=True)
 class Element:
+    """An element in coordinate normal form.  Its hash is the dataclass
+    one, hash((module, coords)), cached on first use: the iteration order
+    of a set of elements follows it and can reach a report."""
+
     module: ZmModule
     coords: tuple[int, ...]
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.module, self.coords))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords and (
+            self.module is other.module or self.module == other.module
+        )
 
     def __add__(self, other):
         return self.module.add(self, other)
@@ -210,10 +242,15 @@ def iter_homs(source, target):
 # -- integer Smith normal form -------------------------------------------------
 
 
-def _add_row(M, dst, src, k, start=0):
-    row, other = M[dst], M[src]
-    for j in range(start, len(row)):
-        row[j] += k * other[j]
+def _add_row(dst, src, k):
+    """dst += k * src on sparse rows {column: nonzero}; k is nonzero."""
+    get = dst.get
+    for c, v in src.items():
+        x = get(c, 0) + k * v
+        if x:
+            dst[c] = x
+        else:
+            del dst[c]
 
 
 def smith_normal_form(A):
@@ -222,90 +259,117 @@ def smith_normal_form(A):
     U and V are unimodular; D is diagonal with nonnegative entries and
     D[i][i] divides D[i+1][i+1].  The pivot at step t is the first entry
     of least absolute value in row-major order among rows and columns
-    >= t; rows and columns < t of D are zero there, so operations on D
-    start at t.  Column operations on V run as row operations on its
-    transpose.
+    >= t.  Rows of D and U are sparse {column: nonzero} dicts, and so are
+    the columns of V.  D keeps its columns where they start and reads
+    column j at ``perm[j]``, so a column swap is two entries of ``perm``;
+    a row or column operation touches only the nonzeros it moves.  Rows
+    and columns < t of D are zero past the diagonal at step t.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    D = [list(map(int, row)) for row in A]
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    VT = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    D = [{j: int(v) for j, v in enumerate(row) if v} for row in A]
+    U = [{i: 1} for i in range(rows)]
+    # Vcol[c]: the column of V that meets column c of the input
+    Vcol = [{j: 1} for j in range(cols)]
+    perm = list(range(cols))  # column j of D is stored at perm[j]
+    pos = list(range(cols))  # and stored column c is column pos[c]
+
+    def swap_rows(t, i):
+        D[t], D[i] = D[i], D[t]
+        U[t], U[i] = U[i], U[t]
+
+    def swap_cols(t, j):
+        a, b = perm[t], perm[j]
+        perm[t], perm[j] = b, a
+        pos[a], pos[b] = j, t
 
     def pivot_search(t):
         best = None
         for i in range(t, rows):
             row = D[i]
-            for j in range(t, cols):
-                v = abs(row[j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
+            if row:
+                v = min(map(abs, row.values()))
+                if best is None or v < best[0]:
+                    best = (v, i)
                     if v == 1:
-                        return best
-        return best
-
-    def swap_cols(t, j):
-        for i in range(t, rows):
-            row = D[i]
-            row[t], row[j] = row[j], row[t]
-        VT[t], VT[j] = VT[j], VT[t]
+                        break
+        if best is None:
+            return None
+        v, i = best
+        return i, min(pos[c] for c, x in D[i].items() if abs(x) == v)
 
     t = 0
     while t < min(rows, cols):
         found = pivot_search(t)
         if found is None:
             break
-        _, pi, pj = found
-        D[t], D[pi] = D[pi], D[t]
-        U[t], U[pi] = U[pi], U[t]
+        pi, pj = found
+        swap_rows(t, pi)
         swap_cols(t, pj)
         while True:
-            # clear column t below the pivot
+            # clear column t below the pivot; a row operation writes only
+            # its own row and a swap sends the old pivot row to a passed
+            # position, so the rows holding column t are listed once
+            ct = perm[t]
             dirty = False
-            for i in range(t + 1, rows):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    if q:
-                        _add_row(D, i, t, -q, t), _add_row(U, i, t, -q)
-                    if D[i][t]:
-                        D[t], D[i] = D[i], D[t]
-                        U[t], U[i] = U[i], U[t]
-                        dirty = True
+            for i in [i for i in range(t + 1, rows) if ct in D[i]]:
+                row = D[i]
+                q = row[ct] // D[t][ct]
+                if q:
+                    _add_row(row, D[t], -q), _add_row(U[i], U[t], -q)
+                if ct in row:
+                    swap_rows(t, i)
+                    dirty = True
             if dirty:
                 continue
+            # clear row t to the right: column operations reach the rows
+            # holding column t, which change only with a column swap
             pivot_row = D[t]
-            for j in range(t + 1, cols):
-                if pivot_row[j]:
-                    q = pivot_row[j] // pivot_row[t]
-                    if q:
-                        for i in range(t, rows):
-                            row = D[i]
-                            row[j] -= q * row[t]
-                        _add_row(VT, j, t, -q)
-                    if pivot_row[j]:
-                        swap_cols(t, j)
-                        dirty = True
+            holders = [pivot_row]
+            for j in sorted(pos[c] for c in pivot_row if c != ct):
+                ct, cj = perm[t], perm[j]
+                q = pivot_row[cj] // pivot_row[ct]
+                if q:
+                    for row in holders:
+                        x = row.get(cj, 0) - q * row[ct]
+                        if x:
+                            row[cj] = x
+                        else:
+                            del row[cj]
+                    _add_row(Vcol[cj], Vcol[ct], -q)
+                if cj in pivot_row:
+                    swap_cols(t, j)
+                    holders = [D[i] for i in range(t, rows) if cj in D[i]]
+                    dirty = True
             if dirty:
                 continue
             # pivot must divide every remaining entry for the divisor chain;
             # a unit pivot divides everything
-            p = D[t][t]
+            p = pivot_row[perm[t]]
             if p in (1, -1):
                 break
-            offender = None
-            for i in range(t + 1, rows):
-                if any(v % p for v in D[i][t + 1:]):
-                    offender = i
-                    break
+            rem = p.__rmod__  # rem(v) == v % p
+            offender = next(
+                (i for i in range(t + 1, rows) if any(map(rem, D[i].values()))), None
+            )
             if offender is None:
                 break
-            _add_row(D, t, offender, 1, t), _add_row(U, t, offender, 1)
-        if D[t][t] < 0:
-            D[t] = [-a for a in D[t]]
-            U[t] = [-a for a in U[t]]
+            _add_row(D[t], D[offender], 1), _add_row(U[t], U[offender], 1)
+        if D[t][perm[t]] < 0:
+            for row in (D[t], U[t]):
+                for c in row:
+                    row[c] = -row[c]
         t += 1
-    V = [list(col) for col in zip(*VT)] if cols else []
-    return U, D, V
+    V = [list(row) for row in zip(*(_dense(Vcol[c], range(cols)) for c in perm))]
+    return [_dense(row, range(rows)) for row in U], [_dense(row, pos) for row in D], V
+
+
+def _dense(row, pos):
+    """The sparse row {c: v} as a list with v at pos[c]."""
+    out = [0] * len(pos)
+    for c, v in row.items():
+        out[pos[c]] = v
+    return out
 
 
 def int_inverse(V):

@@ -359,3 +359,17 @@ TABLE_ORDER_FILE = """\
 [algebra I] module = Z; op f/2
 [action t0] Q = Q; I = I
 """
+
+
+# The hs datum of the verify seed-1 draw r0_v3_ext: M = Z2^3 with four
+# nonzero cells of f, its ideal K of order 4 and the trivial action on
+# A = Z2.  Its affine H2 solves a congruence system of several hundred rows.
+HS_M_FILE = """\
+[ring] modulus = 2
+[module ME] factors = 2,2,2
+[module MA] factors = 2
+[algebra M] module = ME; op f/2: (2,3) -> (1,0,0); op f/2: (3,1) -> (1,0,0); op f/2: (3,2) -> (1,1,0); op f/2: (3,3) -> (1,0,0)
+[algebra A] module = MA; op f/2
+[ideal K] algebra = M; generators = (1,0,0),(0,1,0)
+[action act] Q = M; I = A
+"""

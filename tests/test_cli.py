@@ -17,6 +17,7 @@ from fixture_lib import (
     GCD_FILE,
     HS_B_FILE,
     HS_FILE,
+    HS_M_FILE,
     HS_TWIST_FILE,
     LEIBNIZ_FILE,
     PAIR_CUT_FILE,
@@ -257,6 +258,15 @@ def test_seed_is_an_option_of_check_alone(f2, capsys):
     assert code == 0 and out.endswith("check OK\n")
 
 
+def test_wells_has_no_depth_option(f2, capsys):
+    """verify_wells has no depth bound to set, so --depth is a usage
+    error rather than a value that changes nothing."""
+    with pytest.raises(SystemExit) as err:
+        main(["wells", "--fixture", f2, "--cocycle", "T", "--depth", "3"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
 def test_json_reports(f2, capsys):
     code, out = run(
         ["h2", "--datum", f2, "--variety", "mlf", "--action", "t0", "--json"], capsys
@@ -315,6 +325,7 @@ GOLDEN_COMMANDS = REPORT_COMMANDS + [
     ["extract", "--fixture", "{order}", "--algebra", "N", "--ideal", "L"],
     ["h2", "--datum", "{order}", "--variety", "mlf", "--action", "t0"],
     ["h2", "--datum", "{order}", "--variety", "mlf", "--action", "t0", "--affine"],
+    ["hs", "--fixture", "{hsm}", "--ideal", "K"],
 ]
 
 FIXTURE_FILES = {
@@ -332,6 +343,7 @@ FIXTURE_FILES = {
     "affm4": AFFINE_M4_FILE,
     "rota": ROTA_FILE,
     "order": TABLE_ORDER_FILE,
+    "hsm": HS_M_FILE,
 }
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

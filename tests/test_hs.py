@@ -67,7 +67,7 @@ def test_null_submodule_trivial_action(datum_a):
 def test_null_submodule_zero_ideal():
     M, ideal, A, action, V = hs_fixture_b()
     zero_ideal_set = {M.module.zero()}
-    N = null_submodule(A, zero_ideal_set, action)
+    N = null_submodule(zero_ideal_set, action)
     assert N == set(mod_elements(A.module))
 
 

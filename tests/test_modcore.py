@@ -41,6 +41,34 @@ def test_module_validation():
     assert M.element((3, 5)).coords == (1, 1)
 
 
+def test_element_hash_is_the_dataclass_hash():
+    """Set iteration order follows hash values and can reach a report, so
+    the cached hashes equal the dataclass ones of the field tuples."""
+    for m, factors in [(2, ()), (2, (2,)), (4, (2, 4)), (6, (2, 3)), (6, (6, 6))]:
+        M = ZmModule(m, factors)
+        assert hash(M) == hash((m, factors))
+        for e in mod_elements(M):
+            # the first call fills the cache, the second reads it
+            assert hash(e) == hash(e) == hash((e.module, e.coords))
+
+
+def test_equal_modules_from_distinct_objects():
+    A, B = ZmModule(4, (2,)), ZmModule(4, (2,))
+    assert A is not B and A == B and hash(A) == hash(B)
+    a, b = A.element((1,)), B.element((1,))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert (a + b).coords == (0,) and A.add(a, b) == B.add(b, a)
+    assert A != ZmModule(4, (4,)) and a != ZmModule(4, (4,)).element((1,))
+
+
+def test_check_rejects_a_foreign_module():
+    A, C = ZmModule(4, (2,)), ZmModule(4, (4,))
+    with pytest.raises(MlexError):
+        A.add(A.element((1,)), C.element((1,)))
+    with pytest.raises(MlexError):
+        A.neg(C.element((1,)))
+
+
 def test_mod_elements_examples():
     assert [e.coords for e in mod_elements(ZmModule(2, (2,)))] == [(0,), (1,)]
     assert [e.coords for e in mod_elements(ZmModule(2, ()))] == [()]

@@ -21,12 +21,14 @@ invisible mod 2.
 import ast
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import mlex
+from mlex import modcore
 
 from mlex.errors import ConsistencyError, MlexError
-from mlex.modcore import LinMap, ZmModule, mod_elements, smith_normal_form
+from mlex.modcore import Congruences, LinMap, ZmModule, mod_elements, smith_normal_form
 from mlex.algebra import Algebra, MultilinearOp, find_isomorphism, is_homomorphism, series
 from mlex.termlang import (
     Apply,
@@ -628,16 +630,69 @@ def test_decompose_rebuilds_the_algebra(data):
     assert find_isomorphism(A, d.reconstructed) is not None
 
 
+def integer_matrices():
+    """Matrices of 0 to 6 rows and columns with entries bounded by 1, 4 or
+    30, zero about half the time."""
+    def matrices(shape):
+        rows, cols, bound = shape
+        entry = st.one_of(st.just(0), st.integers(-bound, bound))
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        return st.lists(row, min_size=rows, max_size=rows)
+
+    shapes = st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from([1, 4, 30]))
+    return shapes.flatmap(matrices)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_smith_normal_form_matches_reference(data):
+@example([])
+@example([[], []])
+@given(integer_matrices())
+def test_smith_normal_form_matches_reference(A):
     """U, D and V equal the full-matrix route's exactly, on matrices with
-    non-unit pivots, negative entries and zero rows or columns."""
-    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-    bound = data.draw(st.sampled_from([1, 4, 30]))
-    entries = st.one_of(st.just(0), st.integers(-bound, bound))
-    A = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
+    non-unit pivots, negative entries, zero rows or columns, and no rows
+    or no columns at all."""
     assert smith_normal_form(A) == reference_smith_normal_form(A)
+
+
+@st.composite
+def congruence_systems(draw):
+    """(A, row moduli, column moduli) of the shape the affine systems have:
+    up to 24 rows, moduli 2 and 4, and at most three nonzero entries per
+    row of A, each reduced modulo its row's modulus."""
+    rows, n = draw(st.integers(1, 24)), draw(st.integers(1, 12))
+    moduli = st.sampled_from([2, 4])
+    row_moduli = draw(st.lists(moduli, min_size=rows, max_size=rows))
+    col_moduli = draw(st.lists(moduli, min_size=n, max_size=n))
+    A = []
+    for r in row_moduli:
+        row = [0] * n
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+            row[j] = draw(st.integers(1, r - 1))
+        A.append(row)
+    return A, row_moduli, col_moduli
+
+
+@settings(max_examples=100, deadline=None)
+@given(congruence_systems(), st.data())
+def test_congruence_systems_match_reference(system, data):
+    """On [A | diag(row moduli)], the matrix ``Congruences`` factors, the
+    Smith form equals the full-matrix route's, and so do the kernel and
+    the solutions of a consistent and of an arbitrary right-hand side."""
+    A, row_moduli, col_moduli = system
+    B = [row + [r if j == i else 0 for j in range(len(A))]
+         for i, (row, r) in enumerate(zip(A, row_moduli))]
+    assert smith_normal_form(B) == reference_smith_normal_form(B)
+    solver = Congruences(A, row_moduli, col_moduli)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modcore, "smith_normal_form", reference_smith_normal_form)
+        reference = Congruences(A, row_moduli, col_moduli)
+    assert solver.kernel == reference.kernel
+    x = [data.draw(st.integers(0, c - 1)) for c in col_moduli]
+    consistent = [sum(a * v for a, v in zip(row, x)) % r for row, r in zip(A, row_moduli)]
+    arbitrary = [data.draw(st.integers(0, r - 1)) for r in row_moduli]
+    for b in (consistent, arbitrary):
+        assert solver.solve(b) == reference.solve(b)
+    assert solver.solve(consistent) is not None
 
 
 # Per arity: multilinear identities (Leibniz, Jacobi, symmetry), then ones
