@@ -441,119 +441,112 @@ def cmd_series(args):
     return 0
 
 
-def build_parser():
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+FIXTURE = _arg("--fixture", "--datum", dest="fixture", required=True)
+JSON = _arg("--json", action="store_true")
+Q_I = [_arg("--q", default="Q"), _arg("--i", default="I")]
+
+# name -> (help, handler, arguments in the order --help lists them)
+COMMANDS = {
+    "check": ("load, validate, and self-test a workspace", cmd_check, [
+        FIXTURE, JSON,
+        _arg("--seed", type=int, default=20240501),
+        _arg("--samples", type=int, default=10),
+    ]),
+    "semidirect": ("print the semidirect product table", cmd_semidirect, [
+        FIXTURE, JSON, _arg("--cocycle", required=True),
+    ]),
+    "extract": ("extract the cocycle of a quotient extension", cmd_extract, [
+        FIXTURE, JSON, _arg("--algebra", required=True), _arg("--ideal", required=True),
+    ]),
+    "equivalent": ("search for an equivalence witness", cmd_equivalent, [
+        FIXTURE, JSON,
+        _arg("--left", required=True),
+        _arg("--right", required=True),
+        _arg("--morphism", action="store_true",
+             help="also verify the witness against the morphism conditions"),
+        _arg("--emend", action="store_true",
+             help="use the corrected reading of the third morphism condition"),
+    ]),
+    "h2": ("second cohomology classes", cmd_h2, [
+        FIXTURE, JSON, *Q_I,
+        _arg("--variety", required=True),
+        _arg("--action", default=None),
+        _arg("--affine", action="store_true"),
+        _arg("--budget", type=int, default=2**20),
+    ]),
+    "h1": ("first cohomology of a datum with action", cmd_h1, [
+        FIXTURE, JSON, *Q_I,
+        _arg("--action", required=True),
+        _arg("--depth", type=int, default=3),
+    ]),
+    "derivations": ("derivations of an algebra or datum", cmd_derivations, [
+        FIXTURE, JSON, _arg("--algebra", default=None), *Q_I, _arg("--action", default=None),
+    ]),
+    "wells": ("verify the derivation exact sequence", cmd_wells, [
+        FIXTURE, JSON, _arg("--cocycle", required=True),
+    ]),
+    "hs": ("verify the five-term exact sequence", cmd_hs, [
+        FIXTURE, JSON,
+        _arg("--algebra", default="M"),
+        _arg("--ideal", default="I"),
+        _arg("--coeff", default="A"),
+        _arg("--action", default="act"),
+        _arg("--variety", default="mlf"),
+        _arg("--depth", type=int, default=3),
+    ]),
+    "expand": ("emit 2-cocycle identities for a variety", cmd_expand, [
+        _arg("--fixture", default=None),
+        _arg("--variety", required=True),
+        _arg("--emit", choices=["general", "action", "strict"], required=True),
+        _arg("--notation", choices=["functional", "infix"], default="infix"),
+        _arg("--no-cancel", action="store_true"),
+        _arg("--sexp", action="store_true"),
+        JSON,
+    ]),
+    "decompose": ("solvable/nilpotent tower decomposition", cmd_decompose, [
+        FIXTURE, JSON,
+        _arg("--algebra", required=True),
+        _arg("--kind", choices=["solvable", "nilpotent"], required=True),
+    ]),
+    "series": ("derived or lower central series", cmd_series, [
+        FIXTURE, JSON,
+        _arg("--algebra", required=True),
+        _arg("--kind", choices=["derived", "lower_central"], required=True),
+    ]),
+}
+
+
+def build_parser(command=None):
+    """The parser with every subcommand, or with ``command``'s alone.  The
+    lone one prints the same usage line, which lists every command, so
+    its help and errors read as the full parser's."""
     p = argparse.ArgumentParser(
         prog="mlex",
         description="extension and cohomology calculator for finite multilinear module expansions",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, fixture=True):
-        if fixture:
-            sp.add_argument("--fixture", "--datum", dest="fixture", required=True)
-        sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("check", help="load, validate, and self-test a workspace")
-    common(sp)
-    sp.add_argument("--seed", type=int, default=20240501)
-    sp.add_argument("--samples", type=int, default=10)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("semidirect", help="print the semidirect product table")
-    common(sp)
-    sp.add_argument("--cocycle", required=True)
-    sp.set_defaults(func=cmd_semidirect)
-
-    sp = sub.add_parser("extract", help="extract the cocycle of a quotient extension")
-    common(sp)
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--ideal", required=True)
-    sp.set_defaults(func=cmd_extract)
-
-    sp = sub.add_parser("equivalent", help="search for an equivalence witness")
-    common(sp)
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
-    sp.add_argument(
-        "--morphism",
-        action="store_true",
-        help="also verify the witness against the morphism conditions",
-    )
-    sp.add_argument(
-        "--emend",
-        action="store_true",
-        help="use the corrected reading of the third morphism condition",
-    )
-    sp.set_defaults(func=cmd_equivalent)
-
-    sp = sub.add_parser("h2", help="second cohomology classes")
-    common(sp)
-    sp.add_argument("--q", default="Q")
-    sp.add_argument("--i", default="I")
-    sp.add_argument("--variety", required=True)
-    sp.add_argument("--action", default=None)
-    sp.add_argument("--affine", action="store_true")
-    sp.add_argument("--budget", type=int, default=2**20)
-    sp.set_defaults(func=cmd_h2)
-
-    sp = sub.add_parser("h1", help="first cohomology of a datum with action")
-    common(sp)
-    sp.add_argument("--q", default="Q")
-    sp.add_argument("--i", default="I")
-    sp.add_argument("--action", required=True)
-    sp.add_argument("--depth", type=int, default=3)
-    sp.set_defaults(func=cmd_h1)
-
-    sp = sub.add_parser("derivations", help="derivations of an algebra or datum")
-    common(sp)
-    sp.add_argument("--algebra", default=None)
-    sp.add_argument("--q", default="Q")
-    sp.add_argument("--i", default="I")
-    sp.add_argument("--action", default=None)
-    sp.set_defaults(func=cmd_derivations)
-
-    sp = sub.add_parser("wells", help="verify the derivation exact sequence")
-    common(sp)
-    sp.add_argument("--cocycle", required=True)
-    sp.set_defaults(func=cmd_wells)
-
-    sp = sub.add_parser("hs", help="verify the five-term exact sequence")
-    common(sp)
-    sp.add_argument("--algebra", default="M")
-    sp.add_argument("--ideal", default="I")
-    sp.add_argument("--coeff", default="A")
-    sp.add_argument("--action", default="act")
-    sp.add_argument("--variety", default="mlf")
-    sp.add_argument("--depth", type=int, default=3)
-    sp.set_defaults(func=cmd_hs)
-
-    sp = sub.add_parser("expand", help="emit 2-cocycle identities for a variety")
-    sp.add_argument("--fixture", default=None)
-    sp.add_argument("--variety", required=True)
-    sp.add_argument("--emit", choices=["general", "action", "strict"], required=True)
-    sp.add_argument("--notation", choices=["functional", "infix"], default="infix")
-    sp.add_argument("--no-cancel", action="store_true")
-    sp.add_argument("--sexp", action="store_true")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_expand)
-
-    sp = sub.add_parser("decompose", help="solvable/nilpotent tower decomposition")
-    common(sp)
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--kind", choices=["solvable", "nilpotent"], required=True)
-    sp.set_defaults(func=cmd_decompose)
-
-    sp = sub.add_parser("series", help="derived or lower central series")
-    common(sp)
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--kind", choices=["derived", "lower_central"], required=True)
-    sp.set_defaults(func=cmd_series)
+    # the lone parser spells every command out in its usage line; the full
+    # one keeps the default, as its errors name the argument by a metavar
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flags, kwargs in arguments:
+                sp.add_argument(*flags, **kwargs)
+            sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Only the named subcommand's parser is built;
+    no arguments, ``--help`` and an unknown command get the full one."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError) as e:

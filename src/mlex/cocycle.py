@@ -815,11 +815,6 @@ class LiftingChanges:
     def add(self, u, v):
         return tuple((a + b) % d for a, b, d in zip(u, v, self.moduli))
 
-    def units(self):
-        """The unit maps: one kernel generator at one nonzero x."""
-        n = len(self.moduli)
-        return [self.table([int(i == t) for i in range(n)]) for t in range(n)]
-
     @functools.cached_property
     def homs(self):
         """Hom(Q, I), the maps with null group factor set, as sorted vectors."""

@@ -10,6 +10,7 @@ reduction.  Both routes are cross-checked in the test suite.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ConsistencyError, MlexError
@@ -147,18 +148,75 @@ def multilinearity_identities(signature):
     return out
 
 
+def _compose(A, mat):
+    """A times mat, mat None standing for the identity."""
+    if mat is None:
+        return A
+    return tuple(
+        tuple(sum(a * mat[l][i] for l, a in enumerate(row)) for i in range(len(mat[0])))
+        for row in A
+    )
+
+
 class AffineH2:
-    """H^2 for affine datum: an abelian group of cocycle classes."""
+    """H^2 for affine datum: an abelian group of cocycle classes.
+
+    The congruence system is read off integer index tables built once
+    per object: an element of Q is its position in ``mod_elements``
+    order, ``_add[x*|Q| + y]``, ``_neg[x]``, ``_scal[r*|Q| + x]`` and
+    ``_ops[f][key]`` are Q's operations on positions, key the base-|Q|
+    number of the argument tuple, and ``_plus_cell`` and ``_op_cell[f]``
+    give the factor-set cell at those keys, or -1 at a zero entry.
+    """
 
     def __init__(self, Q, I, action, variety):
         self.Q, self.I, self.action, self.variety = Q, I, action, variety
         self.cells = _factor_set_cells(Q, I)
-        self._cell_index = {cell: i for i, cell in enumerate(self.cells)}
-        k = I.module.rank
-        self._unit = [[int(i == j) for i in range(k)] for j in range(k)]
+        self._col_moduli = [d for _ in self.cells for d in I.module.factors]
+        self._index_tables()
+        self._slot_matrices = {}
         self.invariant_factors = []
         self.reps = []
         self._solve()
+
+    def _index_tables(self):
+        Q, Qm = self.Q, self.Q.module
+        qs = self._qs = mod_elements(Qm)
+        index = {x: i for i, x in enumerate(qs)}
+        nq = self._nq = len(qs)
+        self._add = [index[Qm.add(x, y)] for x, y in itertools.product(qs, repeat=2)]
+        self._neg = [index[Qm.neg(x)] for x in qs]
+        self._scal = [index[Qm.scalar(r, x)] for r in range(Qm.modulus) for x in qs]
+        nz = nq - 1  # cells run over nonzero entries, in _factor_set_cells order
+        self._plus_cell = [
+            (x - 1) * nz + y - 1 if x and y else -1
+            for x, y in itertools.product(range(nq), repeat=2)
+        ]
+        self._ops, self._op_cell = {}, {}
+        first = nz * nz
+        for f in sorted(Q.ops):
+            n = Q.op_arity(f)
+            keys = list(itertools.product(range(nq), repeat=n))
+            self._ops[f] = [index[Q.eval_op(f, [qs[i] for i in xs])] for xs in keys]
+            cells = self._op_cell[f] = []
+            for xs in keys:
+                cell = 0
+                for i in xs:
+                    cell = cell * nz + i - 1
+                cells.append(first + cell if all(xs) else -1)
+            first += nz**n
+
+    def _slot_matrix(self, f, s, qoff):
+        """a(f, s)(qoff | .) at outside-slot positions qoff, as the matrix
+        whose column l is the image of I's generator l; read once."""
+        key = (f, s, qoff)
+        A = self._slot_matrices.get(key)
+        if A is None:
+            table = self.action.tables[(f, s)]
+            q = tuple(self._qs[i] for i in qoff)
+            images = [table[(q, (g,))].coords for g in self.I.module.generators()]
+            A = self._slot_matrices[key] = tuple(zip(*images))
+        return A
 
     # cell vectors are integer tuples: one entry per (cell, I-coordinate)
     def _vector_of(self, tplus, tf):
@@ -181,19 +239,22 @@ class AffineH2:
         The strict 2-cocycle identities (``expander.strict_identity``, what
         ``mlex expand --emit strict`` prints) of the module laws, of
         multilinearity and of the variety are taken at every quotient
-        assignment and linearized in the factor-set cells, kernel
-        coordinate j innermost; each row is reduced modulo its factor and
-        kept once.  Only factor-set summands survive at kernel entries 0:
-        ``_solve`` first checks that the zero cocycle is compatible, and a
-        legal zero-cocycle product makes a unary action T4, so additive in
-        its slot and 0 there; the kernel operations are zero.
+        assignment, in ``mod_elements`` product order, and linearized in
+        the factor-set cells, kernel coordinate j innermost; each row is
+        reduced modulo its factor and kept once.  Each atom is compiled
+        once per identity into a function of the assignment's positions
+        (``_linear_terms``).  Only factor-set summands survive at kernel
+        entries 0: ``_solve`` first checks that the zero cocycle is
+        compatible, and a legal zero-cocycle product makes a unary action
+        T4, so additive in its slot and 0 there; the kernel operations are
+        zero.
         """
-        Qm, Im = self.Q.module, self.I.module
+        Im = self.I.module
         k = Im.rank
         ncols = len(self.cells) * k
         sig = self.variety.signature
         identities = (
-            group_law_identities(Qm.modulus)
+            group_law_identities(self.Q.module.modulus)
             + multilinearity_identities(sig)
             + list(self.variety.identities)
         )
@@ -202,63 +263,174 @@ class AffineH2:
         for ident in identities:
             strict = strict_identity(ident, sig, cancel=False)
             residual = strict.lhs.add(strict.rhs.neg()).items.items()
-            for xs in itertools.product(mod_elements(Qm), repeat=len(ident.variables)):
-                env = dict(zip(ident.variables, xs))
-                rows = [[0] * ncols for _ in range(k)]
-                for atom, c in residual:
-                    for cell, mat in self._linear_terms(atom, env):
-                        for j in range(k):
-                            for i in range(k):
-                                rows[j][cell * k + i] += c * mat[j][i]
+            compiled = []
+            for atom, c in residual:
+                terms = self._linear_terms(atom, ident.variables)
+                if terms is not None:
+                    compiled.append((terms, c))
+            for xs in itertools.product(range(self._nq), repeat=len(ident.variables)):
+                rows = [{} for _ in range(k)]
+                for terms, c in compiled:
+                    for cell, mat in terms(xs):
+                        col = cell * k
+                        for j, row in enumerate(rows):
+                            if mat is None:
+                                row[col + j] = row.get(col + j, 0) + c
+                                continue
+                            for i, a in enumerate(mat[j]):
+                                if a:
+                                    row[col + i] = row.get(col + i, 0) + c * a
                 for row, modulus in zip(rows, Im.factors):
-                    row = tuple(v % modulus for v in row)
-                    if any(row) and (row, modulus) not in seen:
-                        seen.add((row, modulus))
-                        out.append((row, modulus))
+                    entries = tuple(
+                        sorted((col, v % modulus) for col, v in row.items() if v % modulus)
+                    )
+                    if entries and (entries, modulus) not in seen:
+                        seen.add((entries, modulus))
+                        dense = [0] * ncols
+                        for col, v in entries:
+                            dense[col] = v
+                        out.append((tuple(dense), modulus))
         return out
 
-    def _linear_terms(self, atom, env):
-        """(cell index, k x k matrix) pairs: at the quotient assignment env
-        and kernel entries 0, the atom's value is the sum of matrix times
-        cell value.  Scalar factor sets telescope into group factor-set
-        cells, as ``_cocycle_of`` builds them through ``from_cells``."""
-        Q = self.Q
-        if isinstance(atom, FactorPlus):
-            x, y = (termlang.eval_term(Q, q, env) for q in (atom.q1, atom.q2))
-            return self._plus_terms(x, y)
-        if isinstance(atom, FactorR):
-            x = termlang.eval_term(Q, atom.q, env)
-            return [
-                term
-                for j in range(1, atom.r % Q.module.modulus)
-                for term in self._plus_terms(Q.module.scalar(j, x), x)
-            ]
-        if isinstance(atom, FactorF):
-            xs = tuple(termlang.eval_term(Q, q, env) for q in atom.qargs)
-            if any(x.is_zero() for x in xs):
-                return []
-            return [(self._cell_index[("op", atom.op, xs)], self._unit)]
-        if isinstance(atom, ActionApp) and len(atom.slots) == 1:
-            qvec = tuple(termlang.eval_term(Q, q, env) for q in atom.qargs)
-            # the slot map's matrix has the images of I's generators as columns
-            images = [
-                self.action.value(atom.op, atom.slots, qvec, (g,) * len(qvec)).coords
-                for g in self.I.module.generators()
-            ]
-            k = len(images)
-            return [
-                (cell, [[sum(a[j] * b[i] for a, b in zip(images, mat)) for i in range(k)]
-                        for j in range(k)])
-                for cell, mat in self._linear_terms(atom.iargs[0], env)
-            ]
-        # kernel variables and kernel operations vanish, and a unary
-        # action has no several-slot summands
-        return []
+    def _quotient_term(self, t, variables):
+        """The quotient term t as a function of the positions of the
+        variables, a tuple in their order."""
+        if isinstance(t, termlang.Var):
+            return operator.itemgetter(variables.index(t.name))
+        if isinstance(t, termlang.Zero):
+            return lambda xs: 0
+        nq = self._nq
+        if isinstance(t, termlang.Neg):
+            neg, arg = self._neg, self._quotient_term(t.arg, variables)
+            return lambda xs: neg[arg(xs)]
+        if isinstance(t, termlang.Plus):
+            add = self._add
+            left, right = (self._quotient_term(u, variables) for u in (t.left, t.right))
+            return lambda xs: add[left(xs) * nq + right(xs)]
+        if isinstance(t, termlang.Scalar):
+            scal, arg = self._scal, self._quotient_term(t.arg, variables)
+            offset = t.coeff % self.Q.module.modulus * nq
+            return lambda xs: scal[offset + arg(xs)]
+        if isinstance(t, termlang.Apply):
+            key = self._argument_key(t.args, variables)
+            table = self._ops[t.op]
+            return lambda xs: table[key(xs)]
+        raise MlexError(f"unknown term node {t!r}")
 
-    def _plus_terms(self, x, y):
-        if x.is_zero() or y.is_zero():
-            return []
-        return [(self._cell_index[("plus", x, y)], self._unit)]
+    def _argument_key(self, qargs, variables):
+        """The base-|Q| key of an argument tuple, as a function of the
+        variables' positions."""
+        args = [self._quotient_term(q, variables) for q in qargs]
+        nq = self._nq
+
+        def key(xs):
+            out = 0
+            for arg in args:
+                out = out * nq + arg(xs)
+            return out
+
+        return key
+
+    def _linear_terms(self, atom, variables):
+        """A function from the variables' positions to (cell, matrix)
+        pairs: at those quotient entries and kernel entries 0, the atom's
+        value is the sum of matrix times cell value, None standing for
+        the identity matrix.  Scalar factor sets telescope into group
+        factor-set cells, as ``_cocycle_of`` builds them through
+        ``from_cells``.  None when the atom vanishes: kernel variables and
+        kernel operations do, and a unary action has no several-slot
+        summands."""
+        nq, plus_cell = self._nq, self._plus_cell
+        if isinstance(atom, FactorPlus):
+            x, y = (self._quotient_term(q, variables) for q in (atom.q1, atom.q2))
+
+            def terms(xs):
+                cell = plus_cell[x(xs) * nq + y(xs)]
+                return [(cell, None)] if cell >= 0 else []
+
+            return terms
+        if isinstance(atom, FactorR):
+            x = self._quotient_term(atom.q, variables)
+            multiples = [j * nq for j in range(1, atom.r % self.Q.module.modulus)]
+            scal = self._scal
+
+            def terms(xs):
+                v = x(xs)
+                cells = (plus_cell[scal[j + v] * nq + v] for j in multiples)
+                return [(cell, None) for cell in cells if cell >= 0]
+
+            return terms
+        if isinstance(atom, FactorF):
+            key, op_cell = self._argument_key(atom.qargs, variables), self._op_cell[atom.op]
+
+            def terms(xs):
+                cell = op_cell[key(xs)]
+                return [(cell, None)] if cell >= 0 else []
+
+            return terms
+        if isinstance(atom, ActionApp) and len(atom.slots) == 1:
+            inner = self._linear_terms(atom.iargs[0], variables)
+            if inner is None:
+                return None
+            f, s = atom.op, atom.slots
+            off = [
+                self._quotient_term(q, variables)
+                for i, q in enumerate(atom.qargs)
+                if i not in s
+            ]
+            slot_matrix = self._slot_matrix
+
+            def terms(xs):
+                A = slot_matrix(f, s, tuple(q(xs) for q in off))
+                return [(cell, _compose(A, mat)) for cell, mat in inner(xs)]
+
+            return terms
+        return None
+
+    def _unit_coboundaries(self):
+        """The cell vectors of the coboundaries of the unit maps h = e_j
+        at z, z a nonzero element of Q and j a coordinate of I, j
+        innermost: what the lifting x -> (h(x), x) of the split table
+        realizes.  A plus cell (x, y) holds h(x) + h(y) - h(x + y); a cell
+        (f, xs) holds the sum over slots p of a(f,{p})(xs off p | h(x_p)),
+        minus h(f(xs)).  The kernel operations are zero and the action is
+        unary and additive in its slot; a unary f has no action slot."""
+        nq, k = self._nq, self.I.module.rank
+        vecs = [{} for _ in range((nq - 1) * k)]
+
+        def bump(z, col, j, v):
+            if z:
+                vec = vecs[(z - 1) * k + j]
+                vec[col] = vec.get(col, 0) + v
+
+        for x in range(1, nq):
+            for y in range(1, nq):
+                col, s = self._plus_cell[x * nq + y] * k, self._add[x * nq + y]
+                for j in range(k):
+                    bump(x, col + j, j, 1), bump(y, col + j, j, 1), bump(s, col + j, j, -1)
+        for f in sorted(self.Q.ops):
+            n = self.Q.op_arity(f)
+            values, cells = self._ops[f], self._op_cell[f]
+            for key, xs in enumerate(itertools.product(range(nq), repeat=n)):
+                if cells[key] < 0:
+                    continue
+                col = cells[key] * k
+                for p in range(n) if n > 1 else ():
+                    A = self._slot_matrix(f, (p,), xs[:p] + xs[p + 1:])
+                    for j in range(k):
+                        for i in range(k):
+                            if A[i][j]:
+                                bump(xs[p], col + i, j, A[i][j])
+                for j in range(k):
+                    bump(values[key], col + j, j, -1)
+        moduli = self._col_moduli
+        out = []
+        for vec in vecs:
+            dense = [0] * len(moduli)
+            for col, v in vec.items():
+                dense[col] = v % moduli[col]
+            out.append(tuple(dense))
+        return out
 
     def _solve(self):
         if not self.I.is_abelian():
@@ -270,9 +442,7 @@ class AffineH2:
             raise MlexError(
                 f"action is not compatible with variety {self.variety.name!r}"
             )
-        k = self.I.module.rank
-        col_moduli = [self.I.module.factors[j] for _ in self.cells for j in range(k)]
-        self._col_moduli = col_moduli
+        col_moduli = self._col_moduli
         ncols = len(col_moduli)
         rows = self._constraint_rows()
         A = [list(r) for r, _ in rows]
@@ -289,11 +459,8 @@ class AffineH2:
         relations = list(self._generators.kernel)
         # generator order relations: m * e_i always collapses
         relations.extend(tuple(m if j == i else 0 for j in range(p)) for i in range(p))
-        # over affine datum the lifting change h of the split table
-        # realizes exactly the factor sets of the coboundary of h
-        for h in LiftingChanges(self.Q, self.I).units():
-            tplus, _, tf, _ = relift(base, h)
-            sol = self._generators.solve(self._vector_of(tplus, tf))
+        for vec in self._unit_coboundaries():
+            sol = self._generators.solve(vec)
             if sol is None:
                 raise ConsistencyError(
                     "coboundary outside the compatible cocycle group"

@@ -383,10 +383,6 @@ def int_inverse(V):
     return [[sum(W[i][t] * U[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
 
 
-def _mat_vec(M, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in M]
-
-
 @dataclass
 class LinearSolution:
     """A particular solution plus generators of the solution lattice."""
@@ -399,7 +395,9 @@ class Congruences:
     """A x = b with row i read modulo row_moduli[i] and the unknown x_j in
     Z_{col_moduli[j]}, factored once for every right-hand side: ``kernel``
     generates the reduced solutions of A x = 0, and ``solve(b)`` returns a
-    LinearSolution or None when A x = b is inconsistent."""
+    LinearSolution or None when A x = b is inconsistent.  U is kept as
+    sparse rows and the unknowns' part of V as sparse columns, so a solve
+    multiplies nonzeros only."""
 
     def __init__(self, A, row_moduli, col_moduli):
         rows = len(row_moduli)
@@ -410,34 +408,43 @@ class Congruences:
         B = [list(A[i]) + [row_moduli[i] if j == i else 0 for j in range(rows)]
              for i in range(rows)]
         U, D, V = smith_normal_form(B) if rows else ([], [], [[int(i == j) for j in range(n)] for i in range(n)])
-        self._U, self._V = U, V
+        self._U = [{c: u for c, u in enumerate(row) if u} for row in U]
+        self._Vcols = [{r: V[r][i] for r in range(n) if V[r][i]} for i in range(len(V))]
         self._diag = [D[i][i] for i in range(rows)]
         self._col_moduli = list(col_moduli)
         self.kernel = []
         seen = set()
-        for i in range(len(V)):
+        for i, col in enumerate(self._Vcols):
             if i < rows and self._diag[i]:
                 continue
-            vec = self._reduce([row[i] for row in V])
+            vec = self._reduce(col)
             if any(vec) and vec not in seen:
                 seen.add(vec)
                 self.kernel.append(vec)
 
     def _reduce(self, z):
-        return tuple(x % c if c else x for x, c in zip(z, self._col_moduli))
+        """The sparse vector {r: z_r} over the unknowns, reduced."""
+        return tuple(
+            z.get(r, 0) % c if c else z.get(r, 0) for r, c in enumerate(self._col_moduli)
+        )
 
     def solve(self, b):
         if len(b) != len(self._diag):
             raise MlexError("dimension mismatch in linear system")
-        w = [0] * len(self._V)
-        for i, (x, d) in enumerate(zip(_mat_vec(self._U, list(b)), self._diag)):
-            if d:
-                if x % d:
+        z = {}
+        for i, (row, d) in enumerate(zip(self._U, self._diag)):
+            x = sum(u * b[c] for c, u in row.items())
+            if not d:
+                if x:
                     return None
-                w[i] = x // d
-            elif x:
+                continue
+            w, r = divmod(x, d)
+            if r:
                 return None
-        return LinearSolution(self._reduce(_mat_vec(self._V, w)), list(self.kernel))
+            if w:
+                for c, v in self._Vcols[i].items():
+                    z[c] = z.get(c, 0) + w * v
+        return LinearSolution(self._reduce(z), list(self.kernel))
 
 
 def solve_congruences(A, b, row_moduli, col_moduli):

@@ -27,11 +27,13 @@ from mlex.algebra import commutator, is_homomorphism, whole_ideal
 from mlex.cocycle import (
     Action,
     Cocycle,
+    LiftingChanges,
     SemidirectProduct,
     _extension_tables,
     extract_cocycle,
     matches,
     proper_subsets,
+    relift,
     substitute,
 )
 from mlex.derlie import _derivation_defects, lin_add, lin_bracket, twist_cocycle
@@ -39,9 +41,18 @@ from mlex.cohomology import (
     _atom_tables,
     _twin_side_condition,
     derivations,
+    group_law_identities,
     multilinearity_identities,
 )
-from mlex.expander import eval_sum, split
+from mlex.expander import (
+    ActionApp,
+    FactorF,
+    FactorPlus,
+    FactorR,
+    eval_sum,
+    split,
+    strict_identity,
+)
 from mlex import termlang
 
 
@@ -577,6 +588,91 @@ def sampled_constraint_rows(H):
         if any(row) and (row, modulus) not in seen:
             seen.add((row, modulus))
             out.append((row, modulus))
+    return out
+
+
+def element_constraint_rows(H):
+    """The congruence rows of an ``AffineH2`` computed on ``Element``s, as
+    the library once did: every quotient term evaluated in Q, every cell
+    found by its Element key, every slot map read at every assignment."""
+    Q, Im = H.Q, H.I.module
+    k = Im.rank
+    ncols = len(H.cells) * k
+    cell_index = {cell: i for i, cell in enumerate(H.cells)}
+    unit = [[int(i == j) for i in range(k)] for j in range(k)]
+
+    def plus_terms(x, y):
+        if x.is_zero() or y.is_zero():
+            return []
+        return [(cell_index[("plus", x, y)], unit)]
+
+    def linear_terms(atom, env):
+        if isinstance(atom, FactorPlus):
+            x, y = (termlang.eval_term(Q, q, env) for q in (atom.q1, atom.q2))
+            return plus_terms(x, y)
+        if isinstance(atom, FactorR):
+            x = termlang.eval_term(Q, atom.q, env)
+            return [
+                term
+                for j in range(1, atom.r % Q.module.modulus)
+                for term in plus_terms(Q.module.scalar(j, x), x)
+            ]
+        if isinstance(atom, FactorF):
+            xs = tuple(termlang.eval_term(Q, q, env) for q in atom.qargs)
+            if any(x.is_zero() for x in xs):
+                return []
+            return [(cell_index[("op", atom.op, xs)], unit)]
+        if isinstance(atom, ActionApp) and len(atom.slots) == 1:
+            qvec = tuple(termlang.eval_term(Q, q, env) for q in atom.qargs)
+            images = [
+                H.action.value(atom.op, atom.slots, qvec, (g,) * len(qvec)).coords
+                for g in Im.generators()
+            ]
+            return [
+                (cell, [[sum(a[j] * b[i] for a, b in zip(images, mat)) for i in range(k)]
+                        for j in range(k)])
+                for cell, mat in linear_terms(atom.iargs[0], env)
+            ]
+        return []
+
+    sig = H.variety.signature
+    identities = (
+        group_law_identities(Q.module.modulus)
+        + multilinearity_identities(sig)
+        + list(H.variety.identities)
+    )
+    seen = set()
+    out = []
+    for ident in identities:
+        strict = strict_identity(ident, sig, cancel=False)
+        residual = strict.lhs.add(strict.rhs.neg()).items.items()
+        for xs in itertools.product(mod_elements(Q.module), repeat=len(ident.variables)):
+            env = dict(zip(ident.variables, xs))
+            rows = [[0] * ncols for _ in range(k)]
+            for atom, c in residual:
+                for cell, mat in linear_terms(atom, env):
+                    for j in range(k):
+                        for i in range(k):
+                            rows[j][cell * k + i] += c * mat[j][i]
+            for row, modulus in zip(rows, Im.factors):
+                row = tuple(v % modulus for v in row)
+                if any(row) and (row, modulus) not in seen:
+                    seen.add((row, modulus))
+                    out.append((row, modulus))
+    return out
+
+
+def relifted_unit_vectors(H):
+    """The cell vectors of the unit maps' coboundaries of an ``AffineH2``,
+    each read from the tables that relifting the split table by the unit
+    map realizes: one kernel generator at one nonzero x, j innermost."""
+    changes = LiftingChanges(H.Q, H.I)
+    base = SemidirectProduct(Cocycle.zero(H.Q, H.I, H.action))
+    n = len(changes.moduli)
+    out = []
+    for t in range(n):
+        tplus, _, tf, _ = relift(base, changes.table([int(i == t) for i in range(n)]))
+        out.append(H._vector_of(tplus, tf))
     return out
 
 

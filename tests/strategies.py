@@ -77,12 +77,12 @@ def draw_algebra(draw, module, arity, abelian=False):
 
 
 @st.composite
-def cocycles(draw, arities=(1, 2), defects=DEFECTS, affine=False):
+def cocycles(draw, arities=(1, 2), defects=DEFECTS, affine=False, moduli=tuple(PRESENTATIONS)):
     """Cocycles whose semidirect product is legal, or illegal at a drawn
     stage: a defect is put into one table, or into all of them.  With
     ``affine`` the kernel operation is zero and only unary action terms
     are drawn."""
-    m = draw(st.sampled_from(sorted(PRESENTATIONS)))
+    m = draw(st.sampled_from(sorted(moduli)))
     arity = draw(st.sampled_from(arities))
     qf, if_ = draw(
         st.sampled_from(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mlex.cli import main
+from mlex.cli import COMMANDS, build_parser, main
 from fixture_lib import (
     AFFINE_M4_FILE,
     COBOUNDARY_FILE,
@@ -267,6 +267,32 @@ def test_wells_has_no_depth_option(f2, capsys):
     capsys.readouterr()
 
 
+def outcome(call, capsys):
+    """(exit code, stdout, stderr) of a call that may exit."""
+    try:
+        code = call()
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_CASES = [[], ["--help"], ["bogus"]] + [
+    argv for name in COMMANDS for argv in ([name, "--help"], [name], [name, "--bogus"])
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_subparser_reads_as_the_full_parser(argv, capsys, monkeypatch):
+    """main builds the named command's parser alone; its help, its error
+    for a missing required argument or an unknown option, and the top
+    level's answers give the full parser's output and exit code."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = outcome(lambda: build_parser().parse_args(argv), capsys)
+    assert outcome(lambda: main(argv), capsys) == full
+    assert full[0] == (0 if "--help" in argv else 2)
+
+
 def test_json_reports(f2, capsys):
     code, out = run(
         ["h2", "--datum", f2, "--variety", "mlf", "--action", "t0", "--json"], capsys
@@ -406,24 +432,29 @@ def test_golden_reports(tmp_path, monkeypatch):
 # changes: their realization checks and the listing of Hom(Q, I), and for
 # h2 the factored group factor set.  Each job names the counters it must
 # reach.
+# (argv, counters that must be positive, counters that must be zero)
 REPEATED_COMMANDS = [
     (["h2", "--datum", "{affm4}", "--variety", "sc", "--action", "t", "--affine"],
-     ("smith", "strict")),
-    (["equivalent", "--fixture", "{f2}", "--left", "T", "--right", "Z0"], ("smith",)),
-    (["hs", "--fixture", "{hs1}"], ("smith", "strict")),
-    (["check", "--fixture", "{f2}"], ("holds", "atom")),
-    (["wells", "--fixture", "{f2}", "--cocycle", "T"], ("smith", "holds")),
-    (["h2", "--datum", "{f2}", "--variety", "mlf", "--action", "t0"], ("smith", "relift")),
-    (["h2", "--datum", "{f2}", "--variety", "mlf"], ("smith", "relift")),
-    (["h1", "--fixture", "{f2}", "--q", "Q", "--i", "I", "--action", "t0"], ("relift", "homs")),
+     ("smith", "strict"), ("relift", "affine relift")),
+    (["equivalent", "--fixture", "{f2}", "--left", "T", "--right", "Z0"], ("smith",), ()),
+    (["hs", "--fixture", "{hs1}"], ("smith", "strict", "affine"), ("affine relift",)),
+    (["check", "--fixture", "{f2}"], ("holds", "atom"), ()),
+    (["wells", "--fixture", "{f2}", "--cocycle", "T"], ("smith", "holds"), ()),
+    (["h2", "--datum", "{f2}", "--variety", "mlf", "--action", "t0"], ("smith", "relift"), ()),
+    (["h2", "--datum", "{f2}", "--variety", "mlf"], ("smith", "relift"), ()),
+    (["h1", "--fixture", "{f2}", "--q", "Q", "--i", "I", "--action", "t0"],
+     ("relift", "homs"), ()),
     (["derivations", "--fixture", "{f2}", "--q", "Q", "--i", "I", "--action", "t0"],
-     ("relift", "homs")),
+     ("relift", "homs"), ()),
 ]
 
 
 def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
     """mlex is imported afresh, so the first call is the first of the
-    process; the modules of the other tests come back afterwards."""
+    process; the modules of the other tests come back afterwards.  A
+    relift inside ``h2_affine`` also counts as "affine relift": the affine
+    route reads its coboundaries in closed form, while ``hs`` relifts in
+    its first cohomology and derivations."""
     for name in [n for n in sys.modules if n == "mlex" or n.startswith("mlex.")]:
         monkeypatch.delitem(sys.modules, name)
     fresh_main = importlib.import_module("mlex.cli").main
@@ -433,11 +464,24 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
     expander = importlib.import_module("mlex.expander")
     cocycle = importlib.import_module("mlex.cocycle")
     counts = collections.Counter()
+    inside_affine = []
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "relift" and inside_affine:
+                counts["affine relift"] += 1
             return func(*args, **kwargs)
+        return wrapper
+
+    def affine(func):
+        def wrapper(*args, **kwargs):
+            counts["affine"] += 1
+            inside_affine.append(True)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                inside_affine.pop()
         return wrapper
 
     monkeypatch.setattr(modcore, "smith_normal_form", counted("smith", modcore.smith_normal_form))
@@ -447,8 +491,10 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
     for module in (cocycle, cohomology):
         monkeypatch.setattr(module, "relift", counted("relift", module.relift))
     monkeypatch.setattr(cocycle, "iter_homs", counted("homs", cocycle.iter_homs))
+    for module in (importlib.import_module("mlex.cli"), importlib.import_module("mlex.hs")):
+        monkeypatch.setattr(module, "h2_affine", affine(module.h2_affine))
     paths = write_fixtures(tmp_path)
-    for argv, reached in REPEATED_COMMANDS:
+    for argv, reached, absent in REPEATED_COMMANDS:
         runs = []
         for _ in range(2):
             counts.clear()
@@ -458,6 +504,8 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
         assert runs[0] == runs[1], argv
         for name in reached:
             assert runs[0].get(name, 0) > 0, (argv, name)
+        for name in absent:
+            assert runs[0].get(name, 0) == 0, (argv, name)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ evaluate lifting changes through the one realization routine,
 ``derivations_of`` and ``compatible_pairs`` find their maps by one
 congruence solve, ``pair_is_compatible`` checks one cell per action-table
 key, ``is_homomorphism`` checks generator tuples only, and ``AffineH2``
-linearizes the strict identities of the expander.  The oracles in
+linearizes the strict identities of the expander on integer index tables
+and writes its coboundaries in closed form.  The oracles in
 ``oracles.py`` decide the same questions cell by cell, by the
-alternating-sign formula, by sampling the raw semidirect product or by
-listing every map; the affine classes are also compared with the
+alternating-sign formula, by sampling the raw semidirect product, on
+``Element``s, by relifting the split table or by listing every map; the affine classes are also compared with the
 exhaustive ``enumerate_h2``, and equivalence with equality of their
 ``class_of``; the tower ``decompose`` builds is compared with the algebra
 by the exhaustive isomorphism search.  The data cover moduli 2, 3, 4
@@ -79,6 +80,7 @@ from oracles import (
     breadth_first_span,
     coboundary_formula,
     coboundary_table,
+    element_constraint_rows,
     exhaustive_check_jacobi,
     exhaustive_compatible_pairs,
     exhaustive_derivations_of,
@@ -91,6 +93,7 @@ from oracles import (
     per_call_lifting_changes,
     quadratic_h1,
     reference_smith_normal_form,
+    relifted_unit_vectors,
     sampled_constraint_rows,
 )
 from fixture_lib import side_action
@@ -98,6 +101,7 @@ from strategies import (
     PRESENTATIONS,
     cocycles,
     draw_algebra,
+    draw_map,
     linear_maps,
     size,
     witness_maps,
@@ -560,6 +564,92 @@ def test_affine_rows_match_sampled_rows(T):
         H = affine_h2(T, V)
         if H is not None:
             assert H._constraint_rows() == sampled_constraint_rows(H)
+
+
+@st.composite
+def rota_baxter_data(draw):
+    """(T, V): V a Rota-Baxter variety of weight w >= 2 over a bracket br
+    and a unary P, so its strict identity holds scalar factor sets
+    Tr[w]; Q's P is zero, -w times the identity or drawn, and T's action
+    of br is drawn in both slots."""
+    m = draw(st.sampled_from([3, 4, 6]))
+    w = draw(st.integers(2, m - 1))
+    qf, if_ = draw(st.sampled_from([
+        (a, b) for a in PRESENTATIONS[m] for b in PRESENTATIONS[m] if size(a) * size(b) <= 18
+    ]))
+    Qm, Im = ZmModule(m, qf), ZmModule(m, if_)
+    br = draw_algebra(draw, Qm, 2).ops["f"].table
+    kind = draw(st.sampled_from(["zero", "scaled", "drawn"]))
+    if kind == "drawn":
+        P = draw_algebra(draw, Qm, 1).ops["f"].table
+    else:
+        P = {(i,): Qm.scalar(-w if kind == "scaled" else 0, g)
+             for i, g in enumerate(Qm.generators())}
+    Q = Algebra(Qm, {"br": MultilinearOp("br", 2, Qm, br), "P": MultilinearOp("P", 1, Qm, P)})
+    I = Algebra(Im, {"br": MultilinearOp("br", 2, Im), "P": MultilinearOp("P", 1, Im)})
+    tables = {}
+    for s in [(0,), (1,)]:
+        table = draw_map(draw, [Qm, Im], Im, [0, 1])
+        tables[("br", s)] = {((x,), (a,)): v for (x, a), v in table.items()}
+    sig = Signature(m, (("br", 2), ("P", 1)), bracket="br")
+    law = f"[P(x), P(y)] = P([P(x), y]) + P([x, P(y)]) + {w}*P([x, y])"
+    V = Variety("rotabaxter", sig, (parse_identity(law, sig),))
+    return Cocycle.zero(Q, I, Action(Q, I, tables)), V
+
+
+def affine_draws():
+    """(T, V) over moduli 2, 3, 4 and 6, and over 6 alone so that Z6 and
+    Z2 x Z3 come often: one operation of arity 1 to 3 under mlf, the
+    Leibniz and the other ``variety_shapes``, or a bracket and a unary
+    operation under a Rota-Baxter law."""
+    def one_op(arities=ARITIES, pick=st.sampled_from, **kwargs):
+        return cocycles(arities=arities, defects=["none"], affine=True, **kwargs).flatmap(
+            lambda T: st.tuples(st.just(T), pick(shapes_of(T)))
+        )
+
+    leibniz = one_op(arities=(2,), pick=lambda shapes: st.just(shapes[-1]))
+    return st.one_of(one_op(), one_op(moduli=(6,)), leibniz, rota_baxter_data())
+
+
+def unsolved_affine_h2(T, V):
+    """An ``AffineH2`` with its index tables built and no system solved,
+    or None where the split extension is not in V.  Its rows and
+    coboundary vectors need no Smith form, whose cost explodes on
+    kernels such as Z2 x Z3."""
+    try:
+        if not is_compatible(Cocycle.zero(T.Q, T.I, T.action), V):
+            return None
+    except DatumError:
+        return None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AffineH2, "_solve", lambda self: None)
+        return AffineH2(T.Q, T.I, T.action, V)
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_draws())
+def test_affine_rows_match_element_rows(case):
+    """The rows read off index tables are the Element route's, in order."""
+    H = unsolved_affine_h2(*case)
+    assume(H is not None)
+    assert H._constraint_rows() == element_constraint_rows(H)
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_draws(), st.data())
+def test_closed_form_coboundaries_match_relifted_units(case, data):
+    """The closed-form coboundary of every unit map is the vector its
+    relift of the split table realizes, and one of them is the
+    alternating-sign formula's."""
+    H = unsolved_affine_h2(*case)
+    assume(H is not None)
+    vectors = H._unit_coboundaries()
+    assert vectors == relifted_unit_vectors(H)
+    if vectors:
+        t = data.draw(st.integers(0, len(vectors) - 1))
+        unit = LiftingChanges(H.Q, H.I).table([int(i == t) for i in range(len(vectors))])
+        G = coboundary_formula(unit, H.action)
+        assert H._vector_of(G.tplus, G.tf) == vectors[t]
 
 
 # Largest cocycle enumeration for the exhaustive H2 comparison.
