@@ -112,7 +112,9 @@ class Algebra:
         return self.module.scalar(r, a)
 
     def apply_op(self, name, args):
-        return self.eval_op(name, args)
+        if name not in self.ops:
+            raise MlexError(f"unknown operation symbol {name!r}")
+        return self.ops[name](*args)
 
     def multilinear_generators(self):
         """Module generators: every MultilinearOp is multilinear by
@@ -126,11 +128,6 @@ class Algebra:
 
     def signature(self):
         return {name: op.arity for name, op in self.ops.items()}
-
-    def eval_op(self, name, args):
-        if name not in self.ops:
-            raise MlexError(f"unknown operation symbol {name!r}")
-        return self.ops[name](*args)
 
     def is_abelian(self):
         """All multilinear operations are identically zero."""
@@ -395,7 +392,7 @@ def is_homomorphism(A, B, phi):
         return False
     for name, op in A.ops.items():
         for args in itertools.product(A.module.generators(), repeat=op.arity):
-            if phi(op(*args)) != B.eval_op(name, [phi(a) for a in args]):
+            if phi(op(*args)) != B.apply_op(name, [phi(a) for a in args]):
                 return False
     return True
 

@@ -9,15 +9,17 @@ errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
 
 from .errors import MlexError, ParseError, ValidationError
-from .modcore import mod_elements
-from .algebra import series as algebra_series
+from .modcore import LinMap, mod_elements
+from .algebra import quotient, series as algebra_series, subalgebra
 from . import termlang
 from .cocycle import (
+    ExtensionRecord,
     SemidirectProduct,
     _fmt,
     _show_pair,
@@ -25,6 +27,7 @@ from .cocycle import (
     equivalent,
     extract_cocycle,
     is_compatible,
+    is_h2_morphism,
     kernel_kind,
     mlf_variety,
     realizes_raw,
@@ -153,8 +156,6 @@ def cmd_semidirect(args):
             lines.append(f"scalar {r} {_show_pair(u)} -> {_show_pair(raw.scalar(r, u))}")
     for f in sorted(T.Q.ops):
         arity = T.Q.op_arity(f)
-        import itertools
-
         for args_ in itertools.product(universe, repeat=arity):
             v = raw.apply_op(f, list(args_))
             lines.append(
@@ -168,9 +169,6 @@ def cmd_extract(args):
     ws = wsmod.load(args.fixture)
     A = ws.algebra(args.algebra)
     ideal = ws.ideal(args.ideal)
-    from .algebra import quotient, subalgebra
-    from .cocycle import ExtensionRecord
-
     Q, pi, section = quotient(A, ideal)
     I_alg, iota, _ = subalgebra(A, ideal.elements)
     E = ExtensionRecord(A, Q, I_alg, pi, iota, dict(section))
@@ -211,9 +209,6 @@ def cmd_equivalent(args):
         "witness": {str(x): str(v) for x, v in h.items()},
     }
     if args.morphism:
-        from .cocycle import is_h2_morphism
-        from .modcore import LinMap
-
         verdict = is_h2_morphism(
             T1,
             T2,

@@ -14,7 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, MlexError, ValidationError
+from .errors import BudgetExceeded, ConsistencyError, MlexError, ValidationError
 from .modcore import Congruences, LinMap, greedy_span, is_subgroup, iter_homs, mod_elements
 from .algebra import (
     Algebra,
@@ -55,7 +55,8 @@ class Action:
     inside s, so tables are keyed by that restriction.  Every table is
     complete and stored in canonical order: operations by name, slot
     subsets as ``proper_subsets`` lists them, keys as ``action_keys``
-    lists them.
+    lists them.  Nothing changes the tables after ``__init__``, so a
+    passed ``validate`` is kept on the object.
     """
 
     def __init__(self, Q, I, tables=None):
@@ -75,6 +76,7 @@ class Action:
         for key in tables:
             if key not in self.tables:
                 raise MlexError(f"no action slot {key!r} in this signature")
+        self._valid = False
 
     def slots(self):
         return list(self.tables)
@@ -89,7 +91,8 @@ class Action:
 
     def validate(self):
         """The conditions making the tables a genuine action (code T4)."""
-        I = self.I
+        if self._valid:
+            return True
         for (f, s), table in self.tables.items():
             for (qoff, asub), value in table.items():
                 if any(q.is_zero() for q in qoff) and not value.is_zero():
@@ -102,19 +105,16 @@ class Action:
             # since r*a is r-fold addition in a Z/m-module
             for pos in range(len(s)):
                 for (qoff, asub) in table:
-                    for extra in mod_elements(I.module):
-                        bumped = list(asub)
-                        bumped[pos] = I.module.add(bumped[pos], extra)
-                        other = list(asub)
-                        other[pos] = extra
-                        lhs = table[(qoff, tuple(bumped))]
-                        rhs = I.module.add(table[(qoff, asub)], table[(qoff, tuple(other))])
-                        if lhs != rhs:
+                    for extra in mod_elements(self.I.module):
+                        bumped = substitute(asub, (pos,), (asub[pos] + extra,))
+                        other = substitute(asub, (pos,), (extra,))
+                        if table[(qoff, bumped)] != table[(qoff, asub)] + table[(qoff, other)]:
                             raise ValidationError(
                                 f"action a({f},{_show_s(s)}) not additive in slot {s[pos] + 1}",
                                 clause="T4",
                                 where=f"({_fmt(qoff)}|{_fmt(asub)})",
                             )
+        self._valid = True
         return True
 
     def is_trivial(self):
@@ -214,8 +214,6 @@ def enumerate_actions(Q, I, budget=None):
     for _, cands in free_cells:
         total *= len(cands)
     if budget is not None and total > budget:
-        from .errors import BudgetExceeded
-
         raise BudgetExceeded(total, budget)
     actions = []
     for assignment in itertools.product(*(c for _, c in free_cells)):
@@ -392,20 +390,6 @@ class Cocycle:
         return self.Q == other.Q and self.I == other.I
 
 
-@functools.lru_cache(maxsize=64)
-def _index_tables(module):
-    """Elements of a module in ``mod_elements`` order, their index by
-    coordinates, and the add and scalar tables over those indices
-    (entry x*|M| + y is x + y, entry r*|M| + x is r*x)."""
-    elems = tuple(mod_elements(module))
-    index = {e.coords: k for k, e in enumerate(elems)}
-    add = tuple(index[module.add(x, y).coords] for x in elems for y in elems)
-    scal = tuple(
-        index[module.scalar(r, x).coords] for r in range(module.modulus) for x in elems
-    )
-    return elems, index, add, scal
-
-
 class SemidirectProduct:
     """The raw operation table on I x Q defined by a cocycle.
 
@@ -469,12 +453,12 @@ class SemidirectProduct:
             return cached
         avec = tuple(u[0] for u in args)
         xvec = tuple(u[1] for u in args)
-        acc = self.I.eval_op(name, avec)
+        acc = self.I.apply_op(name, avec)
         n = self.Q.op_arity(name)
         for s in proper_subsets(n):
             acc = self.I.module.add(acc, self.T.action.value(name, s, xvec, avec))
         acc = self.I.module.add(acc, self.T.tf[(name, xvec)])
-        out = (acc, self.Q.eval_op(name, xvec))
+        out = (acc, self.Q.apply_op(name, xvec))
         self._op_cache[key] = out
         return out
 
@@ -518,9 +502,10 @@ class SemidirectProduct:
         passed, so the defect in slot i is additive in those slots too and
         their arguments range over the generators alone.
         """
-        qs, qidx, qadd, qscal = _index_tables(self.Q.module)
-        ins, iidx, iadd, iscal = _index_tables(self.I.module)
-        nq, ni = len(qs), len(ins)
+        Ql, Il = self.Q.module.layout, self.I.module.layout
+        qs, qidx, qadd, qscal = Ql.elements, Ql.index, Ql.add, Ql.scalar
+        iidx, iadd, iscal = Il.index, Il.add, Il.scalar
+        nq, ni = len(qs), len(Il.elements)
         tplus, tr = self.T.tplus, self.T.tr
         tp = [iidx[tplus[(x, y)].coords] for x in qs for y in qs]
         # abelian group laws reduce to conditions on the group factor set
@@ -713,7 +698,7 @@ def _realized_tables(Q, I, carrier, lift, embed, down):
     for f, op in Q.ops.items():
         n = op.arity
         for xs in itertools.product(qs, repeat=n):
-            tf[(f, xs)] = defect(carrier.apply_op(f, [lift(x) for x in xs]), Q.eval_op(f, xs))
+            tf[(f, xs)] = defect(carrier.apply_op(f, [lift(x) for x in xs]), Q.apply_op(f, xs))
         for s in proper_subsets(n):
             off = tuple(i for i in range(n) if i not in s)
             table = action_tables[(f, s)] = {}
@@ -801,7 +786,7 @@ class LiftingChanges:
 
     def __init__(self, Q, I):
         self.Q, self.I = Q, I
-        self._qs = mod_elements(Q.module)
+        self._qs = Q.module.layout.elements
         self.moduli = list(I.module.factors) * (len(self._qs) - 1)
         self.zero = (0,) * len(self.moduli)
 
@@ -828,16 +813,18 @@ class LiftingChanges:
         """δ with one row per distinct (row, modulus) over nonzero x, y and
         coordinate j, and the row each (x, y, j) reads: a symmetric
         factor set repeats rows."""
-        Qm, xs, k = self.Q.module, self._qs[1:], self.I.module.rank
+        qs, nq, k = self._qs, len(self._qs), self.I.module.rank
+        add = self.Q.module.layout.add
         rows, where = {}, {}
-        for x in xs:
-            for y in xs:
-                s = Qm.add(x, y)
-                coeffs = [(z == x) + (z == y) - (z == s) for z in xs]
+        for x in range(1, nq):
+            for y in range(1, nq):
+                coeffs = [0] * nq  # at positions; position 0 is h(0) = 0
+                for z, c in ((x, 1), (y, 1), (add[x * nq + y], -1)):
+                    coeffs[z] += c
                 for j, d in enumerate(self.I.module.factors):
                     row = [0] * len(self.moduli)
-                    row[j::k] = coeffs
-                    where[(x, y, j)] = rows.setdefault((tuple(row), d), len(rows))
+                    row[j::k] = coeffs[1:]
+                    where[(qs[x], qs[y], j)] = rows.setdefault((tuple(row), d), len(rows))
         A = [list(row) for row, _ in rows]
         return Congruences(A, [d for _, d in rows], self.moduli), where
 
@@ -1002,7 +989,7 @@ def is_h2_morphism(T, Tp, alpha, h, beta, emend=False):
                             args = substitute(hx, s, [mapped_a[i] for i in s])
                             acc = Im2.add(acc, Tp.action.value(f, r_set, bx, args))
                     args = substitute(hx, s, [mapped_a[i] for i in s])
-                    acc = Im2.add(acc, I2.eval_op(f, args))
+                    acc = Im2.add(acc, I2.apply_op(f, args))
                     if lhs != acc:
                         return False
     return True

@@ -161,12 +161,13 @@ def _compose(A, mat):
 class AffineH2:
     """H^2 for affine datum: an abelian group of cocycle classes.
 
-    The congruence system is read off integer index tables built once
-    per object: an element of Q is its position in ``mod_elements``
-    order, ``_add[x*|Q| + y]``, ``_neg[x]``, ``_scal[r*|Q| + x]`` and
-    ``_ops[f][key]`` are Q's operations on positions, key the base-|Q|
+    The congruence system is read off integer tables: an element of Q is
+    its position in ``mod_elements`` order, and ``_layout`` is Q's module
+    layout with its add, neg and scalar tables.  Built once per object,
+    ``_ops[f][key]`` is Q's operation f on positions, key the base-|Q|
     number of the argument tuple, and ``_plus_cell`` and ``_op_cell[f]``
-    give the factor-set cell at those keys, or -1 at a zero entry.
+    give the position in ``cells`` of the factor-set cell at those keys,
+    or -1 at a zero entry.
     """
 
     def __init__(self, Q, I, action, variety):
@@ -180,31 +181,22 @@ class AffineH2:
         self._solve()
 
     def _index_tables(self):
-        Q, Qm = self.Q, self.Q.module
-        qs = self._qs = mod_elements(Qm)
-        index = {x: i for i, x in enumerate(qs)}
+        Q, layout = self.Q, self.Q.module.layout
+        self._layout, qs, index = layout, layout.elements, layout.index
         nq = self._nq = len(qs)
-        self._add = [index[Qm.add(x, y)] for x, y in itertools.product(qs, repeat=2)]
-        self._neg = [index[Qm.neg(x)] for x in qs]
-        self._scal = [index[Qm.scalar(r, x)] for r in range(Qm.modulus) for x in qs]
-        nz = nq - 1  # cells run over nonzero entries, in _factor_set_cells order
-        self._plus_cell = [
-            (x - 1) * nz + y - 1 if x and y else -1
-            for x, y in itertools.product(range(nq), repeat=2)
-        ]
-        self._ops, self._op_cell = {}, {}
-        first = nz * nz
-        for f in sorted(Q.ops):
-            n = Q.op_arity(f)
-            keys = list(itertools.product(range(nq), repeat=n))
-            self._ops[f] = [index[Q.eval_op(f, [qs[i] for i in xs])] for xs in keys]
-            cells = self._op_cell[f] = []
-            for xs in keys:
-                cell = 0
-                for i in xs:
-                    cell = cell * nz + i - 1
-                cells.append(first + cell if all(xs) else -1)
-            first += nz**n
+        self._ops = {
+            f: [index[Q.apply_op(f, xs).coords] for xs in itertools.product(qs, repeat=op.arity)]
+            for f, op in sorted(Q.ops.items())
+        }
+        self._op_cell = {f: [-1] * len(values) for f, values in self._ops.items()}
+        self._plus_cell = [-1] * nq * nq
+        for c, cell in enumerate(self.cells):
+            plus = cell[0] == "plus"
+            table, xs = (self._plus_cell, cell[1:]) if plus else (self._op_cell[cell[1]], cell[2])
+            pos = 0
+            for x in xs:
+                pos = pos * nq + index[x.coords]
+            table[pos] = c
 
     def _slot_matrix(self, f, s, qoff):
         """a(f, s)(qoff | .) at outside-slot positions qoff, as the matrix
@@ -213,7 +205,7 @@ class AffineH2:
         A = self._slot_matrices.get(key)
         if A is None:
             table = self.action.tables[(f, s)]
-            q = tuple(self._qs[i] for i in qoff)
+            q = tuple(self._layout.elements[i] for i in qoff)
             images = [table[(q, (g,))].coords for g in self.I.module.generators()]
             A = self._slot_matrices[key] = tuple(zip(*images))
         return A
@@ -301,14 +293,14 @@ class AffineH2:
             return lambda xs: 0
         nq = self._nq
         if isinstance(t, termlang.Neg):
-            neg, arg = self._neg, self._quotient_term(t.arg, variables)
+            neg, arg = self._layout.neg, self._quotient_term(t.arg, variables)
             return lambda xs: neg[arg(xs)]
         if isinstance(t, termlang.Plus):
-            add = self._add
+            add = self._layout.add
             left, right = (self._quotient_term(u, variables) for u in (t.left, t.right))
             return lambda xs: add[left(xs) * nq + right(xs)]
         if isinstance(t, termlang.Scalar):
-            scal, arg = self._scal, self._quotient_term(t.arg, variables)
+            scal, arg = self._layout.scalar, self._quotient_term(t.arg, variables)
             offset = t.coeff % self.Q.module.modulus * nq
             return lambda xs: scal[offset + arg(xs)]
         if isinstance(t, termlang.Apply):
@@ -352,7 +344,7 @@ class AffineH2:
         if isinstance(atom, FactorR):
             x = self._quotient_term(atom.q, variables)
             multiples = [j * nq for j in range(1, atom.r % self.Q.module.modulus)]
-            scal = self._scal
+            scal = self._layout.scalar
 
             def terms(xs):
                 v = x(xs)
@@ -405,7 +397,7 @@ class AffineH2:
 
         for x in range(1, nq):
             for y in range(1, nq):
-                col, s = self._plus_cell[x * nq + y] * k, self._add[x * nq + y]
+                col, s = self._plus_cell[x * nq + y] * k, self._layout.add[x * nq + y]
                 for j in range(k):
                     bump(x, col + j, j, 1), bump(y, col + j, j, 1), bump(s, col + j, j, -1)
         for f in sorted(self.Q.ops):

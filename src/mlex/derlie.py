@@ -54,9 +54,9 @@ def _derivation_defects(M, h):
     out = []
     for name, op in M.ops.items():
         for args in itertools.product(gens, repeat=op.arity):
-            d = h(M.eval_op(name, args))
+            d = h(M.apply_op(name, args))
             for i in range(op.arity):
-                d = M.module.sub(d, M.eval_op(name, substitute(args, (i,), (h(args[i]),))))
+                d = M.module.sub(d, M.apply_op(name, substitute(args, (i,), (h(args[i]),))))
             out.append(d)
     return out
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import MlexError
+from .cocycle import SemidirectProduct
 from . import termlang
 from .termlang import Apply, Neg, Plus, Scalar, Term, Var, Zero
 
@@ -172,7 +174,8 @@ def expand_pair(t, signature, names):
             qargs = tuple(p.qpart for p in parts)
             total = AtomSum(m)
             # kernel operation on all kernel parts, fully multilinear
-            total = total.add(_op_product(m, u.op, [p.ipart for p in parts]))
+            ipart = [p.ipart for p in parts]
+            total = total.add(_product(m, ipart, partial(IOpApp, u.op)))
             # one action summand per proper nonempty slot subset
             for size in range(1, n):
                 for s in itertools.combinations(range(n), size):
@@ -180,9 +183,7 @@ def expand_pair(t, signature, names):
                         Zero() if i in s else qargs[i] for i in range(n)
                     )
                     total = total.add(
-                        _action_product(
-                            m, u.op, s, masked, [parts[i].ipart for i in s]
-                        )
+                        _product(m, [ipart[i] for i in s], partial(ActionApp, u.op, s, masked))
                     )
             total = total.add(AtomSum(m, {FactorF(u.op, qargs): 1}))
             return PairValue(total, Apply(u.op, qargs))
@@ -191,7 +192,10 @@ def expand_pair(t, signature, names):
     return go(t)
 
 
-def _op_product(m, op, sums):
+def _product(m, sums, atom_of):
+    """The multilinear product of the atom sums: each tuple of atoms, one
+    per sum, becomes the atom ``atom_of(atoms)`` with the product of their
+    coefficients."""
     out = {}
     for combo in itertools.product(*(s.items.items() for s in sums)):
         atoms = tuple(a for a, _ in combo)
@@ -199,21 +203,8 @@ def _op_product(m, op, sums):
         for _, c in combo:
             coeff = (coeff * c) % m
         if coeff:
-            key = IOpApp(op, atoms)
-            out[key] = out.get(key, 0) + coeff
-    return AtomSum(m, out)
-
-
-def _action_product(m, op, slots, qargs, sums):
-    out = {}
-    for combo in itertools.product(*(s.items.items() for s in sums)):
-        atoms = tuple(a for a, _ in combo)
-        coeff = 1
-        for _, c in combo:
-            coeff = (coeff * c) % m
-        if coeff:
-            key = ActionApp(op, slots, qargs, atoms)
-            out[key] = out.get(key, 0) + coeff
+            atom = atom_of(atoms)
+            out[atom] = out.get(atom, 0) + coeff
     return AtomSum(m, out)
 
 
@@ -475,7 +466,7 @@ def eval_atom(atom, T, env_i, env_q):
             raise MlexError(f"unbound kernel variable {atom.name!r}")
         return env_i[atom.name]
     if isinstance(atom, IOpApp):
-        return I.eval_op(atom.op, [eval_atom(a, T, env_i, env_q) for a in atom.args])
+        return I.apply_op(atom.op, [eval_atom(a, T, env_i, env_q) for a in atom.args])
     if isinstance(atom, ActionApp):
         qvec = tuple(termlang.eval_term(Q, q, env_q) for q in atom.qargs)
         ivals = [eval_atom(a, T, env_i, env_q) for a in atom.iargs]
@@ -539,8 +530,6 @@ def soundness_check(t, T, signature, assignments=None):
     variables they read, and each group's sum is evaluated once per value
     of those; the kernel is abelian, so the regrouped total is the same
     Element."""
-    from .cocycle import SemidirectProduct
-
     raw = SemidirectProduct(T)
     variables = termlang.term_variables(t)
     parts = split(t, signature, variables)

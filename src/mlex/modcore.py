@@ -8,6 +8,7 @@ those coordinates, and all arithmetic is integer-exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -21,7 +22,9 @@ class ZmModule:
 
     ``factors[i]`` is the additive order of e_{i+1}; each must divide
     ``modulus``.  The empty factor tuple is the zero module.  The hash is
-    the dataclass one, hash((modulus, factors)), computed once.
+    the dataclass one, hash((modulus, factors)), computed once.  The
+    ``layout`` is built on first use and lives as long as this object;
+    equal modules made separately do not share it.
     """
 
     modulus: int
@@ -47,6 +50,10 @@ class ZmModule:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.modulus == other.modulus and self.factors == other.factors
+
+    @functools.cached_property
+    def layout(self):
+        return ModuleLayout(self)
 
     @property
     def rank(self):
@@ -149,12 +156,40 @@ class Element:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
+class ModuleLayout:
+    """A module's elements at integer positions, and its operations there.
+
+    ``elements`` is the one set of Element objects in lexicographic
+    coordinate order, zero first, and ``index`` maps coordinates to
+    positions.  Each table is built on first read: ``add[x*n + y]`` is
+    x + y, ``neg[x]`` is -x and ``scalar[r*n + x]`` is r*x for
+    0 <= r < modulus, where n = |module|.
+    """
+
+    def __init__(self, module):
+        self.module = module
+        coords = itertools.product(*(range(d) for d in module.factors))
+        self.elements = tuple(Element(module, c) for c in coords)
+        self.index = {e.coords: i for i, e in enumerate(self.elements)}
+
+    @functools.cached_property
+    def add(self):
+        return tuple(self.index[(x + y).coords] for x in self.elements for y in self.elements)
+
+    @functools.cached_property
+    def neg(self):
+        return tuple(self.index[(-x).coords] for x in self.elements)
+
+    @functools.cached_property
+    def scalar(self):
+        rs = range(self.module.modulus)
+        return tuple(self.index[(r * x).coords] for r in rs for x in self.elements)
+
+
 def mod_elements(module):
-    """All elements of ``module`` in lexicographic coordinate order, zero first."""
-    return [
-        Element(module, coords)
-        for coords in itertools.product(*(range(d) for d in module.factors))
-    ]
+    """All elements of ``module`` in lexicographic coordinate order, zero
+    first: a new list of the module's one set of Element objects."""
+    return list(module.layout.elements)
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def psi_isomorphism(E, T=None):
                 return None
     for f, op in E.M.ops.items():
         for args in itertools.product(list(table), repeat=op.arity):
-            if table[E.M.eval_op(f, args)] != raw.apply_op(f, [table[a] for a in args]):
+            if table[E.M.apply_op(f, args)] != raw.apply_op(f, [table[a] for a in args]):
                 return None
     return table
 
@@ -318,8 +318,8 @@ def coboundary_formula(h, action):
             acc = Im.zero()
             for s in proper_subsets(n):
                 acc = Im.add(acc, Im.scalar(sign(1 + len(s)), action.value(f, s, xs, hx)))
-            acc = Im.add(acc, Im.scalar(sign(1 + n), I.eval_op(f, hx)))
-            tf[(f, xs)] = Im.sub(acc, h[Q.eval_op(f, xs)])
+            acc = Im.add(acc, Im.scalar(sign(1 + n), I.apply_op(f, hx)))
+            tf[(f, xs)] = Im.sub(acc, h[Q.apply_op(f, xs)])
         for s in proper_subsets(n):
             off = tuple(i for i in range(n) if i not in s)
             table = {}
@@ -340,7 +340,7 @@ def coboundary_formula(h, action):
                                     action.value(f, r_set, xs, args),
                                 ),
                             )
-                    acc = Im.add(acc, Im.scalar(sign(1 + n - len(s)), I.eval_op(f, args)))
+                    acc = Im.add(acc, Im.scalar(sign(1 + n - len(s)), I.apply_op(f, args)))
                     table[(qoff, asub)] = acc
             action_tables[(f, s)] = table
     G = Cocycle(Action(Q, I, action_tables), tplus, tr, tf)
@@ -354,7 +354,7 @@ def exhaustive_is_homomorphism(A, B, phi):
         return False
     for name, op in A.ops.items():
         for args in itertools.product(mod_elements(A.module), repeat=op.arity):
-            if phi(op(*args)) != B.eval_op(name, [phi(a) for a in args]):
+            if phi(op(*args)) != B.apply_op(name, [phi(a) for a in args]):
                 return False
     return True
 

@@ -41,13 +41,13 @@ def test_op_validation():
 def test_eval_op_examples(F2):
     M = F2.module
     e1, e2 = M.generator(0), M.generator(1)
-    assert F2.eval_op("f", (e2, e2)) == e1
-    assert F2.eval_op("f", (M.zero(), e2)).is_zero()
-    assert F2.eval_op("f", (e1 + e2, e2)) == e1
+    assert F2.apply_op("f", (e2, e2)) == e1
+    assert F2.apply_op("f", (M.zero(), e2)).is_zero()
+    assert F2.apply_op("f", (e1 + e2, e2)) == e1
     with pytest.raises(MlexError):
-        F2.eval_op("g", (e1, e1))
+        F2.apply_op("g", (e1, e1))
     with pytest.raises(MlexError):
-        F2.eval_op("f", (e1,))
+        F2.apply_op("f", (e1,))
 
 
 def test_multilinearity_of_eval(F2):
@@ -56,9 +56,9 @@ def test_multilinearity_of_eval(F2):
         for b in mod_elements(M):
             for c in mod_elements(M):
                 for r in range(2):
-                    lhs = F2.eval_op("f", (M.add(M.scalar(r, a), b), c))
+                    lhs = F2.apply_op("f", (M.add(M.scalar(r, a), b), c))
                     rhs = M.add(
-                        M.scalar(r, F2.eval_op("f", (a, c))), F2.eval_op("f", (b, c))
+                        M.scalar(r, F2.apply_op("f", (a, c))), F2.apply_op("f", (b, c))
                     )
                     assert lhs == rhs
 
@@ -208,7 +208,7 @@ def test_algebra_from_ops_roundtrip(F2):
         items,
         F2.module.add,
         F2.module.zero(),
-        {"f": (2, lambda a, b: F2.eval_op("f", (a, b)))},
+        {"f": (2, lambda a, b: F2.apply_op("f", (a, b)))},
         2,
     )
     assert find_isomorphism(F2, B) is not None

@@ -83,6 +83,30 @@ def test_action_validation(datum):
     assert err.value.clause == "T4"
 
 
+def test_action_validation_runs_once_per_object(datum, monkeypatch):
+    """A passed validate is kept on the action, so validating it again,
+    alone or inside a cocycle's validate, adds nothing; a failing action
+    raises the same error on every call."""
+    Q, I = datum
+    adds = []
+    add = ZmModule.add
+    monkeypatch.setattr(ZmModule, "add", lambda M, a, b: adds.append(1) or add(M, a, b))
+    act = f2_cocycle().action
+    assert act.validate() and adds
+    adds.clear()
+    assert act.validate() and Cocycle.zero(act.Q, act.I, act).validate()
+    assert adds == []
+    one, zero = one_of(Q), I.module.zero()
+    table = {((one,), (zero,)): one}
+    bad = Action(Q, I, {("f", (1,)): table})
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValidationError) as err:
+            bad.validate()
+        errors.append((str(err.value), err.value.clause, err.value.where))
+    assert errors[0] == errors[1] and errors[0][1] == "T4"
+
+
 def test_semidirect_direct_product(datum):
     Q, I = datum
     one = one_of(Q)
@@ -381,7 +405,7 @@ def test_affine_coboundary_formula(datum):
                 expected = I.module.add(
                     expected, act.value("f", (i,), xs, hvec)
                 )
-            expected = I.module.sub(expected, h[Q.eval_op("f", xs)])
+            expected = I.module.sub(expected, h[Q.apply_op("f", xs)])
             assert G.tf[("f", xs)] == expected
         assert G.action.is_trivial()
 

@@ -258,8 +258,8 @@ def test_zero_class_iff_split(datum):
                     for x in mod_elements(Q.module)
                     for y in mod_elements(Q.module)
                 ) and all(
-                    lifting[Q.eval_op("f", (x, y))]
-                    == E.M.eval_op("f", (lifting[x], lifting[y]))
+                    lifting[Q.apply_op("f", (x, y))]
+                    == E.M.apply_op("f", (lifting[x], lifting[y]))
                     for x in mod_elements(Q.module)
                     for y in mod_elements(Q.module)
                 )

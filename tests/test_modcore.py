@@ -1,9 +1,10 @@
 import itertools
 import random
+from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mlex
 from mlex.errors import MlexError
@@ -59,6 +60,51 @@ def test_equal_modules_from_distinct_objects():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert (a + b).coords == (0,) and A.add(a, b) == B.add(b, a)
     assert A != ZmModule(4, (4,)) and a != ZmModule(4, (4,)).element((1,))
+
+
+@st.composite
+def small_modules(draw):
+    """A module over modulus 2, 3, 4 or 6 of rank 0 to 3, at most 64 elements."""
+    m = draw(st.sampled_from([2, 3, 4, 6]))
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    small = st.lists(st.sampled_from(divisors), max_size=3).filter(lambda fs: prod(fs) <= 64)
+    factors = draw(small)
+    return ZmModule(m, tuple(factors))
+
+
+@given(small_modules())
+@example(ZmModule(6, (6,)))
+@example(ZmModule(6, (2, 3)))
+@example(ZmModule(6, ()))
+@settings(max_examples=40, deadline=None)
+def test_layout_tables_agree_with_module_arithmetic(M):
+    L = M.layout
+    elems, n = L.elements, M.size()
+    assert list(elems) == mod_elements(M) and len(elems) == n
+    assert len(L.index) == n and all(L.index[e.coords] == i for i, e in enumerate(elems))
+    assert len(L.add) == n * n and len(L.neg) == n and len(L.scalar) == M.modulus * n
+    for i, x in enumerate(elems):
+        assert elems[L.neg[i]] == M.neg(x)
+        for j, y in enumerate(elems):
+            assert elems[L.add[i * n + j]] == M.add(x, y)
+        for r in range(M.modulus):
+            assert elems[L.scalar[r * n + i]] == M.scalar(r, x)
+
+
+def test_equal_modules_do_not_share_a_layout():
+    """Each module object owns its layout, so tables live exactly as long
+    as the module (one workspace load, one CLI call), never in a cache
+    that equal modules made later would read."""
+    A, B = ZmModule(4, (2, 4)), ZmModule(4, (2, 4))
+    first = mod_elements(A)
+    assert "add" not in vars(A.layout)  # tables wait for their first read
+    assert A == B and A.layout is A.layout and A.layout is not B.layout
+    assert A.layout.add == B.layout.add and A.layout.add is not B.layout.add
+    assert all(e.module is A for e in A.layout.elements)
+    assert all(e.module is B for e in B.layout.elements)
+    # a fresh list of the one set of elements, free to reorder
+    second = mod_elements(A)
+    assert second is not first and all(a is b for a, b in zip(first, second))
 
 
 def test_check_rejects_a_foreign_module():

@@ -40,7 +40,7 @@ def isomorphisms_onto(draw, Q):
             op.arity,
             Q.module,
             {
-                key: inverse[Q.eval_op(f, [phi(gens[i]) for i in key])]
+                key: inverse[Q.apply_op(f, [phi(gens[i]) for i in key])]
                 for key in itertools.product(range(Q.module.rank), repeat=op.arity)
             },
         )

@@ -121,7 +121,7 @@ def test_counterexample_is_lexicographically_first():
     seen = False
     for x in elems:
         for y in elems:
-            if not F2.eval_op("f", (x, y)).is_zero():
+            if not F2.apply_op("f", (x, y)).is_zero():
                 assert (order[ce["x"]], order[ce["y"]]) <= (order[x], order[y])
                 seen = True
     assert seen
