@@ -56,7 +56,8 @@ class Action:
     complete and stored in canonical order: operations by name, slot
     subsets as ``proper_subsets`` lists them, keys as ``action_keys``
     lists them.  Nothing changes the tables after ``__init__``, so a
-    passed ``validate`` is kept on the object.
+    passed ``validate`` and the split product ``split`` are kept on the
+    object.
     """
 
     def __init__(self, Q, I, tables=None):
@@ -116,6 +117,11 @@ class Action:
                             )
         self._valid = True
         return True
+
+    @functools.cached_property
+    def split(self):
+        """The semidirect product of the zero cocycle over this action."""
+        return SemidirectProduct(Cocycle.zero(self.Q, self.I, self))
 
     def is_trivial(self):
         return all(
@@ -391,76 +397,106 @@ class Cocycle:
 
 
 class SemidirectProduct:
-    """The raw operation table on I x Q defined by a cocycle.
+    """The raw operation table on E = I x Q defined by a cocycle.
 
-    The table realizes its cocycle whether or not it is a legal algebra;
-    ``legality()`` reports whether the module and multilinearity axioms
-    hold, and ``to_algebra()`` converts when they do.
+    The pair (a, x) sits at position a*|Q| + x, its place in
+    ``universe()``, where a and x are positions in the module layouts of
+    I and Q.  E's tables are over positions, each built on first read and
+    held on this object: ``_add[u*|E| + v]`` is u + v,
+    ``_scalar[r*|E| + u]`` is r*u, and ``_ops[f]`` maps the base-|E|
+    number of an argument tuple to its value under f, filled one value at
+    a time.  The table realizes its cocycle whether or not it is a legal
+    algebra; ``legality()`` reports whether the module and multilinearity
+    axioms hold, and ``to_algebra()`` converts when they do.
     """
 
     def __init__(self, cocycle):
-        self.T = cocycle
-        self.Q = cocycle.Q
-        self.I = cocycle.I
+        self.T, self.Q, self.I = cocycle, cocycle.Q, cocycle.I
         self.modulus = self.Q.module.modulus
-        self._legal = None
-        self._gens = None
-        self._add_cache = {}
-        self._op_cache = {}
+        self._ql, self._il = self.Q.module.layout, self.I.module.layout
+        self._nq = len(self._ql.elements)
+        self._ne = self._nq * len(self._il.elements)
+        self._legal = self._gens = None
+        self._ops = {name: {} for name in self.Q.ops}
+
+    @functools.cached_property
+    def _elements(self):
+        return tuple((a, x) for a in self._il.elements for x in self._ql.elements)
+
+    @functools.cached_property
+    def _tp(self):
+        """T+ on Q's positions: ``_tp[x*|Q| + y]`` is the position of T+(x, y)."""
+        return [self._il.index[v.coords] for v in self.T.tplus.values()]
+
+    @functools.cached_property
+    def _add(self):
+        nq, ni, tp = self._nq, len(self._il.elements), self._tp
+        iadd, qadd = self._il.add, self._ql.add
+        return [
+            iadd[iadd[a * ni + b] * ni + tp[x * nq + y]] * nq + qadd[x * nq + y]
+            for a, x, b, y in itertools.product(range(ni), range(nq), range(ni), range(nq))
+        ]
+
+    @functools.cached_property
+    def _scalar(self):
+        nq, ni = self._nq, len(self._il.elements)
+        iadd, iscal, qscal = self._il.add, self._il.scalar, self._ql.scalar
+        tr = [self._il.index[v.coords] for v in self.T.tr.values()]
+        return [
+            iadd[iscal[r * ni + a] * ni + tr[r * nq + x]] * nq + qscal[r * nq + x]
+            for r, a, x in itertools.product(range(self.modulus), range(ni), range(nq))
+        ]
+
+    def _pos(self, u):
+        """The position of the pair u; an entry outside I or Q raises."""
+        a, x = u
+        if a.module is not self.I.module or x.module is not self.Q.module:
+            self.I.module._check(a), self.Q.module._check(x)
+        return self._il.index[a.coords] * self._nq + self._ql.index[x.coords]
+
+    def _op(self, name, key):
+        """The position of f(args), key the base-|E| number of args: read
+        from f's table, or computed and stored there."""
+        table = self._ops[name]
+        value = table.get(key)
+        if value is None:
+            args, rest = [], key
+            for _ in range(self.Q.op_arity(name)):
+                rest, d = divmod(rest, self._ne)
+                args.append(self._elements[d])
+            avec = tuple(a for a, _ in reversed(args))
+            xvec = tuple(x for _, x in reversed(args))
+            acc = self.I.apply_op(name, avec)
+            for s in proper_subsets(len(args)):
+                acc = self.I.module.add(acc, self.T.action.value(name, s, xvec, avec))
+            acc = self.I.module.add(acc, self.T.tf[(name, xvec)])
+            value = table[key] = self._pos((acc, self.Q.apply_op(name, xvec)))
+        return value
 
     def universe(self):
-        return [
-            (a, x)
-            for a in mod_elements(self.I.module)
-            for x in mod_elements(self.Q.module)
-        ]
+        return list(self._elements)
 
     def zero(self):
         return (self.I.module.zero(), self.Q.module.zero())
 
     def add(self, u, v):
-        cached = self._add_cache.get((u, v))
-        if cached is not None:
-            return cached
-        (a, x), (b, y) = u, v
-        out = (
-            self.I.module.add(self.I.module.add(a, b), self.T.tplus[(x, y)]),
-            self.Q.module.add(x, y),
-        )
-        self._add_cache[(u, v)] = out
-        return out
+        return self._elements[self._add[self._pos(u) * self._ne + self._pos(v)]]
 
     def neg(self, u):
         a, x = u
         nx = self.Q.module.neg(x)
-        return (
-            self.I.module.neg(self.I.module.add(a, self.T.tplus[(x, nx)])),
-            nx,
-        )
+        return self.I.module.neg(self.I.module.add(a, self.T.tplus[(x, nx)])), nx
 
     def scalar(self, r, u):
-        a, x = u
-        r = r % self.modulus
-        return (
-            self.I.module.add(self.I.module.scalar(r, a), self.T.tr[(r, x)]),
-            self.Q.module.scalar(r, x),
-        )
+        return self._elements[self._scalar[r % self.modulus * self._ne + self._pos(u)]]
 
     def apply_op(self, name, args):
-        key = (name, tuple(args))
-        cached = self._op_cache.get(key)
-        if cached is not None:
-            return cached
-        avec = tuple(u[0] for u in args)
-        xvec = tuple(u[1] for u in args)
-        acc = self.I.apply_op(name, avec)
-        n = self.Q.op_arity(name)
-        for s in proper_subsets(n):
-            acc = self.I.module.add(acc, self.T.action.value(name, s, xvec, avec))
-        acc = self.I.module.add(acc, self.T.tf[(name, xvec)])
-        out = (acc, self.Q.apply_op(name, xvec))
-        self._op_cache[key] = out
-        return out
+        if len(args) != self.Q.op_arity(name):
+            raise MlexError(f"operation {name}: expected {self.Q.op_arity(name)} arguments")
+        key = 0
+        for u in args:
+            key = key * self._ne + self._pos(u)
+        return self._elements[self._op(name, key)]
 
     def op_arity(self, name):
         return self.Q.op_arity(name)
@@ -491,23 +527,21 @@ class SemidirectProduct:
     def is_legal(self):
         return self.legality()[0]
 
-    def _check_legality(self):
-        """Decide the axioms on integer index tables.
+    def _plus(self, u, v):
+        return self._add[u * self._ne + v]
 
-        An element (a, x) of E = I x Q has index a*|Q| + x, the position
-        of the pair in ``universe()``.  Once the group laws hold, E is a
-        finite abelian group, and a map phi into E is additive iff
-        phi(u+g) = phi(u) + phi(g) for every u and every g of a
-        generating set.  Slot i is checked only after the slots before it
-        passed, so the defect in slot i is additive in those slots too and
-        their arguments range over the generators alone.
+    def _check_legality(self):
+        """Decide the axioms on E's position tables.
+
+        Once the group laws hold, E is a finite abelian group, and a map
+        phi into E is additive iff phi(u+g) = phi(u) + phi(g) for every u
+        and every g of a generating set.  Slot i is checked only after the
+        slots before it passed, so the defect in slot i is additive in
+        those slots too and their arguments range over the generators
+        alone.
         """
-        Ql, Il = self.Q.module.layout, self.I.module.layout
-        qs, qidx, qadd, qscal = Ql.elements, Ql.index, Ql.add, Ql.scalar
-        iidx, iadd, iscal = Il.index, Il.add, Il.scalar
-        nq, ni = len(qs), len(Il.elements)
-        tplus, tr = self.T.tplus, self.T.tr
-        tp = [iidx[tplus[(x, y)].coords] for x in qs for y in qs]
+        qs, qadd, iadd, tp = self._ql.elements, self._ql.add, self._il.add, self._tp
+        nq, ni = self._nq, len(self._il.elements)
         # abelian group laws reduce to conditions on the group factor set
         for x in range(nq):
             for y in range(nq):
@@ -524,71 +558,41 @@ class SemidirectProduct:
                             False,
                             f"addition not associative at ({qs[x]},{qs[y]},{qs[z]})",
                         )
-
-        def add(u, v):
-            a, x = divmod(u, nq)
-            b, y = divmod(v, nq)
-            return iadd[iadd[a * ni + b] * ni + tp[x * nq + y]] * nq + qadd[x * nq + y]
-
         # scalars must agree with repeated addition, and m*u must vanish
-        m = self.modulus
-        trt = [iidx[tr[(r, x)].coords] for r in range(m) for x in qs]
-        ne = ni * nq
+        ne, eadd, escal, elems = self._ne, self._add, self._scalar, self._elements
         for u in range(ne):
-            a, x = divmod(u, nq)
             acc = 0
-            for r in range(m):
-                rx = r * nq + x
-                if iadd[iscal[r * ni + a] * ni + trt[rx]] * nq + qscal[rx] != acc:
-                    at = _show_pair(self.universe()[u])
+            for r in range(self.modulus):
+                if escal[r * ne + u] != acc:
+                    at = _show_pair(elems[u])
                     return False, f"scalar {r} disagrees with repeated addition at {at}"
-                acc = add(acc, u)
+                acc = eadd[acc * ne + u]
             if acc != 0:
-                at = _show_pair(self.universe()[u])
-                return False, f"element {at} not annihilated by the modulus"
+                return False, f"element {_show_pair(elems[u])} not annihilated by the modulus"
         if not self.Q.ops:
             return True, None
         # multilinearity of every operation in every slot
-        elems = self.universe()
-        eadd = [add(u, v) for u in range(ne) for v in range(ne)]
         identity = next(u for u in range(ne) if eadd[u * ne + u] == u)
-        gens = [u for u, _ in greedy_span(range(ne), lambda u, v: eadd[u * ne + v], identity)]
+        gens = [u for u, _ in greedy_span(range(ne), self._plus, identity)]
         for name, op in self.Q.ops.items():
-            n = op.arity
-            table = [None] * ne**n
-
-            def phi(key, name=name, n=n, table=table):
-                value = table[key]
-                if value is None:
-                    args, rest = [], key
-                    for _ in range(n):
-                        rest, d = divmod(rest, ne)
-                        args.append(elems[d])
-                    a, x = self.apply_op(name, args[::-1])
-                    value = iidx[a.coords] * nq + qidx[x.coords]
-                    table[key] = value
-                return value
-
+            n, get = op.arity, self._ops[name].get
             for slot in range(n):
                 stride = ne ** (n - 1 - slot)
                 for pre in itertools.product(gens, repeat=slot):
                     for post in itertools.product(range(ne), repeat=n - 1 - slot):
                         base = 0
-                        for d in pre:
+                        for d in pre + (0,) + post:
                             base = base * ne + d
-                        base *= ne
-                        for d in post:
-                            base = base * ne + d
+                        # f along the slot, the other arguments fixed
+                        fiber = []
+                        for key in range(base, base + ne * stride, stride):
+                            value = get(key)
+                            fiber.append(self._op(name, key) if value is None else value)
                         for u in range(ne):
-                            fu = phi(base + u * stride)
-                            row = u * ne
+                            fu, row = fiber[u], u * ne
                             for g in gens:
-                                lhs = phi(base + eadd[row + g] * stride)
-                                if lhs != eadd[fu * ne + phi(base + g * stride)]:
-                                    return (
-                                        False,
-                                        f"operation {name} not additive in slot {slot + 1}",
-                                    )
+                                if fiber[eadd[row + g]] != eadd[fu * ne + fiber[g]]:
+                                    return False, f"operation {name} not additive in slot {slot + 1}"
         if eadd[0] == 0:
             self._gens = [elems[g] for g in gens]
         return True, None
@@ -873,10 +877,12 @@ def equivalent(T, Tp):
     isomorphism of the two semidirect tables.  For addition and scalars
     the two conditions are one identity on any table; for the operations
     they agree because the kernel operations are multilinear and both
-    actions are additive in each slot.  Only T's table is built.
+    actions are additive in each slot.  Only T's table is built.  Both
+    cocycles are validated first, so input outside T1-T4 raises.
     """
     if not T.same_datum(Tp):
         raise MlexError("equivalence requires a common datum")
+    T.validate(), Tp.validate()
     return LiftingChanges(T.Q, T.I).witness(SemidirectProduct(T), Tp)
 
 
@@ -888,12 +894,14 @@ def negated(h, I):
 def coboundary(h, action):
     """The cocycle determined by a lifting change h over a reference action:
     the zero cocycle minus what the lifting x -> (-h(x), x) of its split
-    table realizes, cell by cell, action tables included."""
+    table realizes, cell by cell, action tables included.  A reference
+    action outside T4 raises."""
     Q, I = action.Q, action.I
     if not h[Q.module.zero()].is_zero():
         raise MlexError("witness map must send zero to zero")
-    Z = Cocycle.zero(Q, I, action)
-    tplus, tr, tf, action_tables = relift(SemidirectProduct(Z), negated(h, I))
+    action.validate()
+    Z = action.split.T
+    tplus, tr, tf, action_tables = relift(action.split, negated(h, I))
 
     def minus(ref, table):
         return {k: I.module.sub(ref[k], v) for k, v in table.items()}

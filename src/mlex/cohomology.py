@@ -429,7 +429,7 @@ class AffineH2:
             raise MlexError("affine datum needs an abelian kernel algebra")
         if not self.action.is_unary():
             raise MlexError("affine datum needs a purely unary action")
-        base = SemidirectProduct(Cocycle.zero(self.Q, self.I, self.action))
+        base = self.action.split
         if not is_compatible(base.T, self.variety, raw=base):
             raise MlexError(
                 f"action is not compatible with variety {self.variety.name!r}"
@@ -521,10 +521,9 @@ def derivations(Q, I, action):
     h(x) + h(y) - h(x + y) makes h additive, so the candidates are the
     module maps Q -> I.
     """
-    zero = Cocycle.zero(Q, I, action)
-    raw = SemidirectProduct(zero)
+    raw = action.split
     changes = LiftingChanges(Q, I)
-    out = [h for h in map(changes.table, changes.homs) if matches(relift(raw, h), zero)]
+    out = [h for h in map(changes.table, changes.homs) if matches(relift(raw, h), raw.T)]
     if not changes.is_subgroup(out):
         raise ConsistencyError("derivations are not closed under addition")
     return out
@@ -535,6 +534,7 @@ class PrincipalResult:
     maps: list
     complete: bool
     depth_used: int
+    derivations: list  # the derivation group the maps were measured against
 
 
 def _atom_tables(Q, I, action, depth):
@@ -583,15 +583,16 @@ def principal_derivations(Q, I, action, depth=3):
     The subgroup generated by the accepted depth-bounded candidates is a
     sound under-approximation; ``complete`` reports when it is provably
     all of the principal derivations (trivial action, or the whole
-    derivation group was reached).
+    derivation group was reached).  The result carries that group, as
+    ``derivations`` lists it.
     """
     zero = {x: I.module.zero() for x in mod_elements(Q.module)}
-    if action.is_trivial():
-        return PrincipalResult([zero], True, 0)
     ders = derivations(Q, I, action)
+    if action.is_trivial():
+        return PrincipalResult([zero], True, 0, ders)
     changes = LiftingChanges(Q, I)
     der_keys = {changes.vector(h) for h in ders}
-    raw = SemidirectProduct(Cocycle.zero(Q, I, action))
+    raw = action.split
     qs = mod_elements(Q.module)
     good = {}  # accepted tables; a rejected one may pass under other meta
     for table, meta in _atom_tables(Q, I, action, depth):
@@ -603,7 +604,7 @@ def principal_derivations(Q, I, action, depth=3):
             good[key] = d
     maps = changes.span(good.values())
     complete = len(maps) == len(ders)
-    return PrincipalResult(maps, complete, depth)
+    return PrincipalResult(maps, complete, depth, ders)
 
 
 def _poly_value(raw, meta, u):
@@ -657,8 +658,8 @@ def h1(Q, I, action, depth=3):
     order, that no coset holds yet takes the coset h + P of the principal
     subgroup P, sorted; the invariant factors come from the coset sums."""
     changes = LiftingChanges(Q, I)
-    ders = derivations(Q, I, action)
     pres = principal_derivations(Q, I, action, depth=depth)
+    ders = pres.derivations
     principal = [changes.vector(p) for p in pres.maps]
     index, reps, cosets = {}, [], []
     for h in ders:

@@ -285,7 +285,7 @@ def _obstruction_classes(pairs, T0):
     """The obstruction class of each pair against the group-trivial T0, the
     witnesses sought in one group of lifting changes of one split table."""
     changes = LiftingChanges(T0.Q, T0.I)
-    split = SemidirectProduct(Cocycle.zero(T0.Q, T0.I, T0.action))
+    split = T0.action.split
     out = []
     for pair in pairs:
         S = twist_cocycle(T0, pair)
@@ -528,9 +528,10 @@ def _verify_wells_corollary(E0, T0, der_ideal, psi_of, wells, ker_wells, datum_d
     except MlexError:
         checks["derivation extension realizes a Lie-compatible cocycle"] = False
         return checks
+    split = S.action.split
     checks["section action is Lie-variety compatible"] = is_compatible(
-        Cocycle.zero(KW_alg, K_alg, S.action), V_lie, check_datum=False
+        split.T, V_lie, check_datum=False, raw=split
     )
-    witness = equivalent(S, Cocycle.zero(KW_alg, K_alg, S.action))
+    witness = equivalent(S, split.T)
     checks["extension class of the derivation sequence vanishes"] = witness is not None
     return checks

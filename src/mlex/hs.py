@@ -99,8 +99,7 @@ class HSDatum:
         if action.Q != M or action.I != A:
             raise MlexError("action does not act on (M, A)")
         action.validate()
-        base = Cocycle.zero(M, A, action)
-        if not is_compatible(base, variety):
+        if not is_compatible(action.split.T, variety, raw=action.split):
             raise MlexError(
                 f"coefficient action is not compatible with {variety.name!r}"
             )
@@ -130,8 +129,8 @@ class HSDatum:
         # comparing whole tables decides what comparing diagonals does.
         if self.induced.pull_back(M, pi) != self.action_M_AI:
             raise ConsistencyError("induced action depends on coset representatives")
-        zero_ind = Cocycle.zero(Q, self.coeff.algebra, self.induced)
-        if not is_compatible(zero_ind, variety, check_datum=False):
+        split = self.induced.split
+        if not is_compatible(split.T, variety, check_datum=False, raw=split):
             raise ConsistencyError("induced action lost variety compatibility")
         self.action_I_AI = self.action_M_AI.pull_back(I_alg, iota)
         if not self.action_I_AI.is_trivial():

@@ -214,10 +214,58 @@ def coboundary_table(h, Q, I):
     }
 
 
-def exhaustive_legality(raw):
+class ElementProduct:
+    """E = I x Q for a cocycle T evaluated on pairs of Elements by the
+    defining formulas, with no position tables:
+
+        (a, x) + (b, y) = (a + b + T+(x, y), x + y)
+        -(a, x) = (-(a + T+(x, -x)), -x)
+        r(a, x) = (ra + Tr(r, x), rx)
+        f((a1, x1), ..., (an, xn)) = (f(a) + sum over s of a(f, s)(x | a) + Tf(x), f(x))
+
+    where s runs over the nonempty proper slot subsets."""
+
+    def __init__(self, T):
+        self.T, self.Q, self.I = T, T.Q, T.I
+        self.modulus = T.Q.module.modulus
+
+    def universe(self):
+        return [(a, x) for a in mod_elements(self.I.module) for x in mod_elements(self.Q.module)]
+
+    def zero(self):
+        return (self.I.module.zero(), self.Q.module.zero())
+
+    def add(self, u, v):
+        (a, x), (b, y), Im = u, v, self.I.module
+        return Im.add(Im.add(a, b), self.T.tplus[(x, y)]), self.Q.module.add(x, y)
+
+    def neg(self, u):
+        a, x = u
+        nx = self.Q.module.neg(x)
+        return self.I.module.neg(self.I.module.add(a, self.T.tplus[(x, nx)])), nx
+
+    def scalar(self, r, u):
+        a, x = u
+        r = r % self.modulus
+        return (
+            self.I.module.add(self.I.module.scalar(r, a), self.T.tr[(r, x)]),
+            self.Q.module.scalar(r, x),
+        )
+
+    def apply_op(self, name, args):
+        avec = tuple(u[0] for u in args)
+        xvec = tuple(u[1] for u in args)
+        acc = self.I.apply_op(name, avec)
+        for s in proper_subsets(len(args)):
+            acc = self.I.module.add(acc, self.T.action.value(name, s, xvec, avec))
+        acc = self.I.module.add(acc, self.T.tf[(name, xvec)])
+        return acc, self.Q.apply_op(name, xvec)
+
+
+def exhaustive_legality(T):
     """(ok, reason) for the module and multilinearity axioms, every
-    condition checked on every element tuple of the raw table."""
-    T, Qm, Im = raw.T, raw.Q.module, raw.I.module
+    condition checked on every element tuple of ``ElementProduct(T)``."""
+    raw, Qm, Im = ElementProduct(T), T.Q.module, T.I.module
     qs = mod_elements(Qm)
     # abelian group laws reduce to conditions on the group factor set
     for x in qs:
@@ -262,7 +310,7 @@ def exhaustive_legality(raw):
 def isomorphism_witness(T, Tp):
     """First witness h making (a,x) -> (a - h(x), x) an isomorphism of the
     two semidirect tables, checked cell by cell, or None."""
-    raw1, raw2 = SemidirectProduct(T), SemidirectProduct(Tp)
+    raw1, raw2 = ElementProduct(T), ElementProduct(Tp)
     Q, I = T.Q, T.I
     universe = raw1.universe()
     for h in all_witness_maps(Q, I):

@@ -1,9 +1,9 @@
 """Semidirect legality against the exhaustive oracle.
 
-``SemidirectProduct.legality`` decides additivity on index tables and a
-generating set.  ``exhaustive_legality`` in ``oracles.py`` checks every
-axiom on every element tuple instead; both must return the same
-(ok, reason).
+``SemidirectProduct.legality`` decides additivity on E's position tables
+and a generating set.  ``exhaustive_legality`` in ``oracles.py`` checks
+every axiom on every element tuple of the ``Element`` formulas instead;
+both must return the same (ok, reason).
 """
 
 import pytest
@@ -18,7 +18,7 @@ from strategies import cocycles
 
 
 def assert_same_legality(T):
-    assert SemidirectProduct(T).legality() == exhaustive_legality(SemidirectProduct(T))
+    assert SemidirectProduct(T).legality() == exhaustive_legality(T)
 
 
 @settings(max_examples=300, deadline=None)

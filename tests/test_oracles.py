@@ -28,7 +28,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import mlex
 from mlex import modcore
 
-from mlex.errors import ConsistencyError, MlexError
+from mlex.errors import ConsistencyError, MlexError, ValidationError
 from mlex.modcore import Congruences, LinMap, ZmModule, mod_elements, smith_normal_form
 from mlex.algebra import Algebra, MultilinearOp, find_isomorphism, is_homomorphism, series
 from mlex.termlang import (
@@ -149,8 +149,16 @@ def partners(draw, T):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_equivalent_returns_the_isomorphism_witness(data):
+    """A poked partner outside T1-T4 is rejected with its clause."""
     T = data.draw(valid_cocycles())
     Tp = data.draw(partners(T))
+    try:
+        Tp.validate()
+    except ValidationError as invalid:
+        with pytest.raises(ValidationError) as err:
+            equivalent(T, Tp)
+        assert err.value.clause == invalid.clause
+        return
     assert equivalent(T, Tp) == isomorphism_witness(T, Tp)
 
 
