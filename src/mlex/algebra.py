@@ -81,11 +81,16 @@ class MultilinearOp:
 
 
 class Algebra:
-    """A module together with named multilinear operations."""
+    """A module together with named multilinear operations.
+
+    ``op_table(f)`` is f on the module layout's positions, built on first
+    read and held on this object, so it lives as long as the algebra.
+    """
 
     def __init__(self, module, ops=None):
         self.module = module
         self.ops = {}
+        self._op_tables = {}
         for name, op in (ops or {}).items():
             if op.carrier != module:
                 raise MlexError(f"operation {name} lives on a different module")
@@ -115,6 +120,18 @@ class Algebra:
         if name not in self.ops:
             raise MlexError(f"unknown operation symbol {name!r}")
         return self.ops[name](*args)
+
+    def op_table(self, name):
+        """f on positions: ``op_table(f)[key]`` is the position of
+        f(args), key the base-|A| number of the argument positions."""
+        table = self._op_tables.get(name)
+        if table is None:
+            layout, op = self.module.layout, self.ops[name]
+            table = self._op_tables[name] = tuple(
+                layout.index[op(*args).coords]
+                for args in itertools.product(layout.elements, repeat=op.arity)
+            )
+        return table
 
     def multilinear_generators(self):
         """Module generators: every MultilinearOp is multilinear by

@@ -56,8 +56,8 @@ class Action:
     complete and stored in canonical order: operations by name, slot
     subsets as ``proper_subsets`` lists them, keys as ``action_keys``
     lists them.  Nothing changes the tables after ``__init__``, so a
-    passed ``validate`` and the split product ``split`` are kept on the
-    object.
+    passed ``validate``, the split product ``split`` and the tables as I
+    positions, ``positions``, are kept on the object.
     """
 
     def __init__(self, Q, I, tables=None):
@@ -90,30 +90,51 @@ class Action:
         key = (tuple(qvec[i] for i in off), tuple(avec[i] for i in s))
         return self.tables[(f, s)][key]
 
+    @functools.cached_property
+    def positions(self):
+        """Each table a(f, s) as a list of I positions in ``action_keys``
+        order."""
+        index = self.I.module.layout.index
+        return {
+            key: [index[v.coords] for v in table.values()] for key, table in self.tables.items()
+        }
+
     def validate(self):
-        """The conditions making the tables a genuine action (code T4)."""
+        """The conditions making the tables a genuine action (code T4),
+        decided on the positions of Q's and I's layouts, key by key in
+        ``action_keys`` order."""
         if self._valid:
             return True
-        for (f, s), table in self.tables.items():
-            for (qoff, asub), value in table.items():
-                if any(q.is_zero() for q in qoff) and not value.is_zero():
+        qs, il = self.Q.module.layout.elements, self.I.module.layout
+        ni, iadd = len(il.elements), il.add
+        for (f, s), table in self.positions.items():
+            keys = list(
+                itertools.product(
+                    itertools.product(range(len(qs)), repeat=self.Q.op_arity(f) - len(s)),
+                    itertools.product(range(ni), repeat=len(s)),
+                )
+            )
+            for c, (qoff, asub) in enumerate(keys):
+                if table[c] and 0 in qoff:
                     raise ValidationError(
                         f"action a({f},{_show_s(s)}) nonzero at zero outside-slot entry",
                         clause="T4",
-                        where=f"({_fmt(qoff)}|{_fmt(asub)})",
+                        where=_show_key(qs, il.elements, keys[c]),
                     )
             # additivity in each distinguished slot; scalar linearity follows,
             # since r*a is r-fold addition in a Z/m-module
             for pos in range(len(s)):
-                for (qoff, asub) in table:
-                    for extra in mod_elements(self.I.module):
-                        bumped = substitute(asub, (pos,), (asub[pos] + extra,))
-                        other = substitute(asub, (pos,), (extra,))
-                        if table[(qoff, bumped)] != table[(qoff, asub)] + table[(qoff, other)]:
+                stride = ni ** (len(s) - 1 - pos)
+                for c, (_, asub) in enumerate(keys):
+                    a, value = asub[pos], table[c]
+                    base = c - a * stride
+                    for extra in range(ni):
+                        bumped = table[base + iadd[a * ni + extra] * stride]
+                        if bumped != iadd[value * ni + table[base + extra * stride]]:
                             raise ValidationError(
                                 f"action a({f},{_show_s(s)}) not additive in slot {s[pos] + 1}",
                                 clause="T4",
-                                where=f"({_fmt(qoff)}|{_fmt(asub)})",
+                                where=_show_key(qs, il.elements, keys[c]),
                             )
         self._valid = True
         return True
@@ -189,6 +210,12 @@ def _fmt(vec):
     return ",".join(str(v) for v in vec)
 
 
+def _show_key(qs, ins, key):
+    """An action key (qoff, asub) of positions written (qoff|asub)."""
+    qoff, asub = key
+    return f"({_fmt(qs[q] for q in qoff)}|{_fmt(ins[a] for a in asub)})"
+
+
 def _show_pair(u):
     """A pair (a, x) of I x Q written <a,x>."""
     a, x = u
@@ -256,7 +283,9 @@ class Cocycle:
     the normalization cells demanded by conditions T1-T3 are validated.
     They are stored in canonical order: ``tplus`` over (x, y), ``tr`` over
     (r, x), ``tf`` over operations by name, then argument tuples, each in
-    ``mod_elements`` product order.
+    ``mod_elements`` product order.  ``positions`` lists them, and then
+    the action's tables, as I positions in that order; it is built on
+    first read, once the tables are final.
     """
 
     def __init__(self, action, tplus, tr, tf):
@@ -332,16 +361,26 @@ class Cocycle:
         )
 
     def _telescoped_tr(self):
-        """Scalar factor sets tr(r, x) = sum of tplus(j*x, x) for 0 < j < r."""
-        Q, I = self.Q, self.I
-        tr = {}
-        for r in range(Q.module.modulus):
-            for x in mod_elements(Q.module):
-                acc = I.module.zero()
-                for j in range(1, r):
-                    acc = I.module.add(acc, self.tplus[(Q.module.scalar(j, x), x)])
-                tr[(r, x)] = acc
-        return tr
+        """Scalar factor sets tr(r, x) = sum of tplus(j*x, x) for 0 < j < r,
+        summed on the layouts: tr(r, x) = tr(r - 1, x) + tplus((r-1)*x, x)."""
+        ql, il, m = self.Q.module.layout, self.I.module.layout, self.Q.module.modulus
+        nq, ni = len(ql.elements), len(il.elements)
+        tp = [il.index[v.coords] for v in self.tplus.values()]
+        tr = [0] * (m * nq)
+        for r in range(2, m):
+            for x in range(nq):
+                prev = (r - 1) * nq + x
+                tr[r * nq + x] = il.add[tr[prev] * ni + tp[ql.scalar[prev] * nq + x]]
+        keys = itertools.product(range(m), ql.elements)
+        return dict(zip(keys, map(il.elements.__getitem__, tr)))
+
+    @functools.cached_property
+    def positions(self):
+        index = self.I.module.layout.index
+        out = [index[v.coords] for t in (self.tplus, self.tr, self.tf) for v in t.values()]
+        for table in self.action.positions.values():
+            out.extend(table)
+        return out
 
     # -- algebraic structure on cocycles over one action ------------------
 
@@ -405,17 +444,19 @@ class SemidirectProduct:
     held on this object: ``_add[u*|E| + v]`` is u + v,
     ``_scalar[r*|E| + u]`` is r*u, and ``_ops[f]`` maps the base-|E|
     number of an argument tuple to its value under f, filled one value at
-    a time.  The table realizes its cocycle whether or not it is a legal
-    algebra; ``legality()`` reports whether the module and multilinearity
-    axioms hold, and ``to_algebra()`` converts when they do.
+    a time from the position tables of Q, I, the action and T
+    (``_formulas``).  The table realizes its cocycle whether or not it is
+    a legal algebra; ``legality()`` reports whether the module and
+    multilinearity axioms hold, and ``to_algebra()`` converts when they
+    do.
     """
 
     def __init__(self, cocycle):
         self.T, self.Q, self.I = cocycle, cocycle.Q, cocycle.I
         self.modulus = self.Q.module.modulus
         self._ql, self._il = self.Q.module.layout, self.I.module.layout
-        self._nq = len(self._ql.elements)
-        self._ne = self._nq * len(self._il.elements)
+        self._nq, self._ni = len(self._ql.elements), len(self._il.elements)
+        self._ne = self._nq * self._ni
         self._legal = self._gens = None
         self._ops = {name: {} for name in self.Q.ops}
 
@@ -426,11 +467,11 @@ class SemidirectProduct:
     @functools.cached_property
     def _tp(self):
         """T+ on Q's positions: ``_tp[x*|Q| + y]`` is the position of T+(x, y)."""
-        return [self._il.index[v.coords] for v in self.T.tplus.values()]
+        return self.T.positions[: self._nq * self._nq]
 
     @functools.cached_property
     def _add(self):
-        nq, ni, tp = self._nq, len(self._il.elements), self._tp
+        nq, ni, tp = self._nq, self._ni, self._tp
         iadd, qadd = self._il.add, self._ql.add
         return [
             iadd[iadd[a * ni + b] * ni + tp[x * nq + y]] * nq + qadd[x * nq + y]
@@ -439,13 +480,28 @@ class SemidirectProduct:
 
     @functools.cached_property
     def _scalar(self):
-        nq, ni = self._nq, len(self._il.elements)
+        nq, ni = self._nq, self._ni
         iadd, iscal, qscal = self._il.add, self._il.scalar, self._ql.scalar
-        tr = [self._il.index[v.coords] for v in self.T.tr.values()]
+        tr = self.T.positions[nq * nq:nq * (nq + self.modulus)]
         return [
             iadd[iscal[r * ni + a] * ni + tr[r * nq + x]] * nq + qscal[r * nq + x]
             for r, a, x in itertools.product(range(self.modulus), range(ni), range(nq))
         ]
+
+    @functools.cached_property
+    def _formulas(self):
+        """Per operation f: its arity, I's and Q's tables of f, T_f over Q's
+        positions, and (off, s, a(f, s)) for every slot subset s."""
+        action, positions = self.T.action, self.T.positions
+        start = self._nq * (self._nq + self.modulus)
+        out = {}
+        for name, op in sorted(self.Q.ops.items()):
+            n = op.arity
+            tf = positions[start:start + self._nq ** n]
+            start += len(tf)
+            slots = [(action.off_slots(name, s), s, action.positions[(name, s)]) for s in proper_subsets(n)]
+            out[name] = (n, self.I.op_table(name), self.Q.op_table(name), tf, slots)
+        return out
 
     def _pos(self, u):
         """The position of the pair u; an entry outside I or Q raises."""
@@ -456,21 +512,29 @@ class SemidirectProduct:
 
     def _op(self, name, key):
         """The position of f(args), key the base-|E| number of args: read
-        from f's table, or computed and stored there."""
+        from f's table, or computed and stored there as
+        (f(a) + sum over s of a(f, s)(x | a) + T_f(x), f(x))."""
         table = self._ops[name]
         value = table.get(key)
         if value is None:
-            args, rest = [], key
-            for _ in range(self.Q.op_arity(name)):
-                rest, d = divmod(rest, self._ne)
-                args.append(self._elements[d])
-            avec = tuple(a for a, _ in reversed(args))
-            xvec = tuple(x for _, x in reversed(args))
-            acc = self.I.apply_op(name, avec)
-            for s in proper_subsets(len(args)):
-                acc = self.I.module.add(acc, self.T.action.value(name, s, xvec, avec))
-            acc = self.I.module.add(acc, self.T.tf[(name, xvec)])
-            value = table[key] = self._pos((acc, self.Q.apply_op(name, xvec)))
+            n, iop, qop, tf, slots = self._formulas[name]
+            nq, ni, ne, iadd = self._nq, self._ni, self._ne, self._il.add
+            avec, xvec, rest = [0] * n, [0] * n, key
+            for i in range(n - 1, -1, -1):
+                rest, d = divmod(rest, ne)
+                avec[i], xvec[i] = divmod(d, nq)
+            akey = xkey = 0
+            for a, x in zip(avec, xvec):
+                akey, xkey = akey * ni + a, xkey * nq + x
+            acc = iadd[iop[akey] * ni + tf[xkey]]
+            for off, s, act in slots:
+                k = 0
+                for i in off:
+                    k = k * nq + xvec[i]
+                for i in s:
+                    k = k * ni + avec[i]
+                acc = iadd[acc * ni + act[k]]
+            value = table[key] = acc * nq + qop[xkey]
         return value
 
     def universe(self):
@@ -500,6 +564,49 @@ class SemidirectProduct:
 
     def op_arity(self, name):
         return self.Q.op_arity(name)
+
+    def relifted(self, h):
+        """The tables that the lifting x -> (h(x), x) of this table
+        realizes, h a list of I positions over Q's positions: one list of
+        I positions in the order of ``Cocycle.positions``, -1 where an
+        entry leaves the kernel.  For u = (a, x), u minus the lift of x is
+        (a - h(x), 0) on any raw table, since the T+ of ``add`` and of
+        ``neg`` cancel."""
+        nq, ni, ne, iadd = self._nq, self._ni, self._ne, self._il.add
+        minus_h = [self._il.neg[a] for a in h]
+        lift = [a * nq + x for x, a in enumerate(h)]
+        eadd, escal = self._add, self._scalar
+        out = [eadd[u * ne + v] for u in lift for v in lift]
+        out += [escal[r * ne + u] for r in range(self.modulus) for u in lift]
+        ops = sorted(self.Q.ops.items())
+        for name, op in ops:
+            keys = [0]
+            for _ in range(op.arity):
+                keys = [k * ne + u for k in keys for u in lift]
+            out += self._values(name, keys)
+        out = [iadd[(u // nq) * ni + minus_h[u % nq]] for u in out]
+        for name, op in ops:
+            n = op.arity
+            for s in proper_subsets(n):
+                qkeys, akeys = [0], [0]
+                for i in range(n):
+                    w = ne ** (n - 1 - i)
+                    if i in s:
+                        akeys = [k + a * nq * w for k in akeys for a in range(ni)]
+                    else:
+                        qkeys = [k + u * w for k in qkeys for u in lift]
+                values = self._values(name, [q + a for q in qkeys for a in akeys])
+                out += [-1 if v % nq else v // nq for v in values]
+        return out
+
+    def _values(self, name, keys):
+        """The positions of f at a list of base-|E| keys."""
+        get = self._ops[name].get
+        out = []
+        for key in keys:
+            value = get(key)
+            out.append(self._op(name, key) if value is None else value)
+        return out
 
     def multilinear_generators(self):
         """The generating set that legality checked the operations on, once
@@ -678,7 +785,9 @@ def _realized_tables(Q, I, carrier, lift, embed, down):
     Cocycle; an entry is None where its equation leaves the kernel.
     Action terms depend only on the quotient entries outside the slot
     subset and the kernel entries inside it, so only the ``action_keys``
-    are evaluated, with one lift per run of outside-slot entries.
+    are evaluated, with one lift per run of outside-slot entries.  The
+    library reads extension records through it; a raw semidirect table
+    is read on positions by ``SemidirectProduct.relifted``.
     """
     qs = mod_elements(Q.module)
     add, neg = carrier.add, carrier.neg
@@ -722,38 +831,24 @@ def _extension_tables(E):
     )
 
 
-def matches(tables, T):
-    """Are realized tables exactly T's factor sets and action tables?"""
-    tplus, tr, tf, action_tables = tables
-    return (
-        tplus == T.tplus
-        and tr == T.tr
-        and tf == T.tf
-        and action_tables == T.action.tables
-    )
-
-
-def _kernel_part(u):
-    """The kernel entry of a pair of a raw table, or None off the kernel."""
-    a, x = u
-    return a if x.is_zero() else None
-
-
 def realizes_raw(raw, T):
     """Realization check for the raw semidirect table with its canonical
-    embedding, projection and lifting."""
-    tables = _realized_tables(
-        raw.Q, raw.I, raw, raw.lift, raw.embed_kernel, _kernel_part
-    )
-    return matches(tables, T)
+    embedding, projection and lifting, the lifting by h = 0."""
+    return raw.T.same_datum(T) and raw.relifted([0] * raw._nq) == T.positions
 
 
 def relift(raw, h):
     """The tables realized by the lifting x -> (h(x), x) of a raw
-    semidirect table: changing the lifting by h."""
-    return _realized_tables(
-        raw.Q, raw.I, raw, lambda x: (h[x], x), raw.embed_kernel, _kernel_part
-    )
+    semidirect table, keyed as in a Cocycle, None where an entry leaves
+    the kernel: ``relifted`` read back as Elements, in the key order of
+    the table's own cocycle."""
+    T, il = raw.T, raw.I.module.layout
+    cells = iter(raw.relifted([il.index[h[x].coords] for x in raw._ql.elements]))
+
+    def read(table):
+        return {key: il.elements[p] if p >= 0 else None for key, p in zip(table, cells)}
+
+    return read(T.tplus), read(T.tr), read(T.tf), {k: read(t) for k, t in T.action.tables.items()}
 
 
 def extract_cocycle(E):
@@ -801,6 +896,11 @@ class LiftingChanges:
         k, Im = self.I.module.rank, self.I.module
         return {x: Im.element(c[(i - 1) * k:i * k]) if i else Im.zero() for i, x in enumerate(self._qs)}
 
+    def positions(self, c):
+        """The map with vector c as I positions over Q's positions."""
+        k, index = self.I.module.rank, self.I.module.layout.index
+        return [0] + [index[c[(i - 1) * k:i * k]] for i in range(1, len(self._qs))]
+
     def add(self, u, v):
         return tuple((a + b) % d for a, b, d in zip(u, v, self.moduli))
 
@@ -835,6 +935,10 @@ class LiftingChanges:
     def changes(self, D):
         """Every h with δh = D, sorted: the coset h0 + Hom(Q, I) of one
         particular solution h0, or [] when there is none."""
+        return [self.table(v) for v in self._solutions(D)]
+
+    def _solutions(self, D):
+        """The vectors of ``changes(D)``."""
         qs = self._qs
         if any(not (D[(qs[0], x)].is_zero() and D[(x, qs[0])].is_zero()) for x in qs):
             return []
@@ -846,7 +950,7 @@ class LiftingChanges:
         sol = delta.solve([b[row] for row in range(len(b))])
         if sol is None:
             return []
-        return [self.table(v) for v in sorted(self.add(sol.particular, u) for u in self.homs)]
+        return sorted(self.add(sol.particular, u) for u in self.homs)
 
     def span(self, maps):
         """The subgroup the maps generate, sorted."""
@@ -861,9 +965,9 @@ class LiftingChanges:
         table realizes Tp, or None: see ``equivalent``."""
         T = raw.T
         D = {key: T.I.module.sub(v, T.tplus[key]) for key, v in Tp.tplus.items()}
-        for h in self.changes(D):
-            if matches(relift(raw, h), Tp):
-                return h
+        for v in self._solutions(D):
+            if raw.relifted(self.positions(v)) == Tp.positions:
+                return self.table(v)
         return None
 
 

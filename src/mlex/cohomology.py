@@ -30,8 +30,6 @@ from .cocycle import (
     SemidirectProduct,
     enumerate_actions,
     is_compatible,
-    matches,
-    relift,
     substitute,
 )
 
@@ -162,12 +160,12 @@ class AffineH2:
     """H^2 for affine datum: an abelian group of cocycle classes.
 
     The congruence system is read off integer tables: an element of Q is
-    its position in ``mod_elements`` order, and ``_layout`` is Q's module
-    layout with its add, neg and scalar tables.  Built once per object,
-    ``_ops[f][key]`` is Q's operation f on positions, key the base-|Q|
-    number of the argument tuple, and ``_plus_cell`` and ``_op_cell[f]``
-    give the position in ``cells`` of the factor-set cell at those keys,
-    or -1 at a zero entry.
+    its position in ``mod_elements`` order, ``_layout`` is Q's module
+    layout with its add, neg and scalar tables, and ``Q.op_table(f)`` is
+    Q's operation f on positions, keyed by the base-|Q| number of the
+    argument tuple.  Built once per object, ``_plus_cell`` and
+    ``_op_cell[f]`` give the position in ``cells`` of the factor-set cell
+    at those keys, or -1 at a zero entry.
     """
 
     def __init__(self, Q, I, action, variety):
@@ -181,14 +179,10 @@ class AffineH2:
         self._solve()
 
     def _index_tables(self):
-        Q, layout = self.Q, self.Q.module.layout
-        self._layout, qs, index = layout, layout.elements, layout.index
-        nq = self._nq = len(qs)
-        self._ops = {
-            f: [index[Q.apply_op(f, xs).coords] for xs in itertools.product(qs, repeat=op.arity)]
-            for f, op in sorted(Q.ops.items())
-        }
-        self._op_cell = {f: [-1] * len(values) for f, values in self._ops.items()}
+        layout = self._layout = self.Q.module.layout
+        index = layout.index
+        nq = self._nq = len(layout.elements)
+        self._op_cell = {f: [-1] * nq ** op.arity for f, op in self.Q.ops.items()}
         self._plus_cell = [-1] * nq * nq
         for c, cell in enumerate(self.cells):
             plus = cell[0] == "plus"
@@ -305,7 +299,7 @@ class AffineH2:
             return lambda xs: scal[offset + arg(xs)]
         if isinstance(t, termlang.Apply):
             key = self._argument_key(t.args, variables)
-            table = self._ops[t.op]
+            table = self.Q.op_table(t.op)
             return lambda xs: table[key(xs)]
         raise MlexError(f"unknown term node {t!r}")
 
@@ -402,7 +396,7 @@ class AffineH2:
                     bump(x, col + j, j, 1), bump(y, col + j, j, 1), bump(s, col + j, j, -1)
         for f in sorted(self.Q.ops):
             n = self.Q.op_arity(f)
-            values, cells = self._ops[f], self._op_cell[f]
+            values, cells = self.Q.op_table(f), self._op_cell[f]
             for key, xs in enumerate(itertools.product(range(nq), repeat=n)):
                 if cells[key] < 0:
                     continue
@@ -523,7 +517,11 @@ def derivations(Q, I, action):
     """
     raw = action.split
     changes = LiftingChanges(Q, I)
-    out = [h for h in map(changes.table, changes.homs) if matches(relift(raw, h), raw.T)]
+    out = [
+        changes.table(v)
+        for v in changes.homs
+        if raw.relifted(changes.positions(v)) == raw.T.positions
+    ]
     if not changes.is_subgroup(out):
         raise ConsistencyError("derivations are not closed under addition")
     return out

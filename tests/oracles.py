@@ -14,7 +14,7 @@ route with its oracle or reference on random small data.
 import itertools
 from dataclasses import dataclass, replace
 
-from mlex.errors import ConsistencyError, MlexError
+from mlex.errors import ConsistencyError, MlexError, ValidationError
 from mlex.modcore import (
     LinMap,
     abelian_decomposition,
@@ -30,8 +30,10 @@ from mlex.cocycle import (
     LiftingChanges,
     SemidirectProduct,
     _extension_tables,
+    _fmt,
+    _realized_tables,
+    _show_s,
     extract_cocycle,
-    matches,
     proper_subsets,
     relift,
     substitute,
@@ -81,6 +83,17 @@ def all_liftings(E):
 
 def with_lifting(E, lifting):
     return replace(E, lifting=lifting)
+
+
+def matches(tables, T):
+    """Are realized tables exactly T's factor sets and action tables?"""
+    tplus, tr, tf, action_tables = tables
+    return (
+        tplus == T.tplus
+        and tr == T.tr
+        and tf == T.tf
+        and action_tables == T.action.tables
+    )
 
 
 def realizes(E, T):
@@ -260,6 +273,45 @@ class ElementProduct:
             acc = self.I.module.add(acc, self.T.action.value(name, s, xvec, avec))
         acc = self.I.module.add(acc, self.T.tf[(name, xvec)])
         return acc, self.Q.apply_op(name, xvec)
+
+
+def _kernel_part(u):
+    """The kernel entry of a pair, or None off the kernel."""
+    a, x = u
+    return a if x.is_zero() else None
+
+
+def element_relift(T, h):
+    """The tables realized by the lifting x -> (h(x), x) of E = I x Q,
+    evaluated pair by pair through ``ElementProduct``: every defect is
+    u + (-lift(x)) pulled back to the kernel."""
+    E, zero = ElementProduct(T), T.Q.module.zero()
+    return _realized_tables(T.Q, T.I, E, lambda x: (h[x], x), lambda a: (a, zero), _kernel_part)
+
+
+def element_validate_action(action):
+    """T4 of an action decided on Elements, key by key in table order:
+    zero at a zero outside-slot entry, then additivity in each slot."""
+    for (f, s), table in action.tables.items():
+        for (qoff, asub), value in table.items():
+            if any(q.is_zero() for q in qoff) and not value.is_zero():
+                raise ValidationError(
+                    f"action a({f},{_show_s(s)}) nonzero at zero outside-slot entry",
+                    clause="T4",
+                    where=f"({_fmt(qoff)}|{_fmt(asub)})",
+                )
+        for pos in range(len(s)):
+            for (qoff, asub) in table:
+                for extra in mod_elements(action.I.module):
+                    bumped = substitute(asub, (pos,), (asub[pos] + extra,))
+                    other = substitute(asub, (pos,), (extra,))
+                    if table[(qoff, bumped)] != table[(qoff, asub)] + table[(qoff, other)]:
+                        raise ValidationError(
+                            f"action a({f},{_show_s(s)}) not additive in slot {s[pos] + 1}",
+                            clause="T4",
+                            where=f"({_fmt(qoff)}|{_fmt(asub)})",
+                        )
+    return True
 
 
 def exhaustive_legality(T):

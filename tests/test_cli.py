@@ -435,24 +435,25 @@ def test_golden_reports(tmp_path, monkeypatch):
 # (argv, counters that must be positive, counters that must be zero)
 REPEATED_COMMANDS = [
     (["h2", "--datum", "{affm4}", "--variety", "sc", "--action", "t", "--affine"],
-     ("smith", "strict"), ("relift", "affine relift")),
+     ("smith", "strict"), ("relifted", "affine relift")),
     (["equivalent", "--fixture", "{f2}", "--left", "T", "--right", "Z0"], ("smith",), ()),
     (["hs", "--fixture", "{hs1}"], ("smith", "strict", "affine"), ("affine relift",)),
     (["check", "--fixture", "{f2}"], ("holds", "atom"), ()),
     (["wells", "--fixture", "{f2}", "--cocycle", "T"], ("smith", "holds"), ()),
-    (["h2", "--datum", "{f2}", "--variety", "mlf", "--action", "t0"], ("smith", "relift"), ()),
-    (["h2", "--datum", "{f2}", "--variety", "mlf"], ("smith", "relift"), ()),
+    (["h2", "--datum", "{f2}", "--variety", "mlf", "--action", "t0"], ("smith", "relifted"), ()),
+    (["h2", "--datum", "{f2}", "--variety", "mlf"], ("smith", "relifted"), ()),
     (["h1", "--fixture", "{f2}", "--q", "Q", "--i", "I", "--action", "t0"],
-     ("relift", "homs"), ()),
+     ("relifted", "homs"), ()),
     (["derivations", "--fixture", "{f2}", "--q", "Q", "--i", "I", "--action", "t0"],
-     ("relift", "homs"), ()),
+     ("relifted", "homs"), ()),
 ]
 
 
 def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
     """mlex is imported afresh, so the first call is the first of the
-    process; the modules of the other tests come back afterwards.  A
-    relift inside ``h2_affine`` also counts as "affine relift": the affine
+    process; the modules of the other tests come back afterwards.
+    ``SemidirectProduct.relifted`` does the work of every relift, and a
+    call inside ``h2_affine`` also counts as "affine relift": the affine
     route reads its coboundaries in closed form, while ``hs`` relifts in
     its first cohomology and derivations."""
     for name in [n for n in sys.modules if n == "mlex" or n.startswith("mlex.")]:
@@ -469,7 +470,7 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
     def counted(name, func):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            if name == "relift" and inside_affine:
+            if name == "relifted" and inside_affine:
                 counts["affine relift"] += 1
             return func(*args, **kwargs)
         return wrapper
@@ -488,8 +489,8 @@ def test_repeated_calls_do_the_same_work(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cohomology, "strict_identity", counted("strict", cohomology.strict_identity))
     monkeypatch.setattr(termlang, "holds", counted("holds", termlang.holds))
     monkeypatch.setattr(expander, "eval_atom", counted("atom", expander.eval_atom))
-    for module in (cocycle, cohomology):
-        monkeypatch.setattr(module, "relift", counted("relift", module.relift))
+    product = cocycle.SemidirectProduct
+    monkeypatch.setattr(product, "relifted", counted("relifted", product.relifted))
     monkeypatch.setattr(cocycle, "iter_homs", counted("homs", cocycle.iter_homs))
     for module in (importlib.import_module("mlex.cli"), importlib.import_module("mlex.hs")):
         monkeypatch.setattr(module, "h2_affine", affine(module.h2_affine))
